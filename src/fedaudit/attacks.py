@@ -11,12 +11,12 @@ No gradients and no parameter access anywhere: everything goes through
 ``model.query``.
 """
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import read_csv, write_csv
 from .tensors import ErosionConfig, erosion_sequence
 
 ATTACK_NAMES = ("resmia", "loss", "entropy")
@@ -176,39 +176,26 @@ def write_scores_csv(path, records, metadata=None):
 
     Floats are written with repr so reruns are byte-identical.
     """
-    with open(path, "w", newline="") as fh:
-        for key in sorted(metadata or {}):
-            fh.write(f"# {key}={metadata[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SCORES_CSV_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.sample_id, r.client_id, int(r.is_member),
+    write_csv(path, SCORES_CSV_COLUMNS,
+              ([r.sample_id, r.client_id, int(r.is_member),
                 repr(r.scores["resmia"]), repr(r.scores["loss"]),
-                repr(r.scores["entropy"]), r.queries_resmia,
-            ])
+                repr(r.scores["entropy"]), r.queries_resmia]
+               for r in records),
+              metadata)
 
 
 def read_scores_csv(path):
     """Inverse of write_scores_csv; returns (records, metadata)."""
-    metadata = {}
+    rows, metadata = read_csv(path)
     records = []
-    with open(path, newline="") as fh:
-        rows = []
-        for line in fh:
-            if line.startswith("# "):
-                key, _, value = line[2:].rstrip("\n").partition("=")
-                metadata[key] = value
-            else:
-                rows.append(line)
-        for row in csv.DictReader(rows):
-            cid = row["client_id"]
-            records.append(AttackRecord(
-                sample_id=int(row["sample_id"]),
-                client_id=cid if cid == "nonmember" else int(cid),
-                is_member=bool(int(row["is_member"])),
-                scores={"resmia": float(row["score_resmia"]),
-                        "loss": float(row["score_loss"]),
-                        "entropy": float(row["score_entropy"])},
-                queries_resmia=int(row["queries_resmia"])))
+    for row in rows:
+        cid = row["client_id"]
+        records.append(AttackRecord(
+            sample_id=int(row["sample_id"]),
+            client_id=cid if cid == "nonmember" else int(cid),
+            is_member=bool(int(row["is_member"])),
+            scores={"resmia": float(row["score_resmia"]),
+                    "loss": float(row["score_loss"]),
+                    "entropy": float(row["score_entropy"])},
+            queries_resmia=int(row["queries_resmia"])))
     return records, metadata

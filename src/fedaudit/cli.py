@@ -8,7 +8,6 @@ Exit codes: 0 success, 2 config error, 1 runtime error.
 """
 
 import argparse
-import csv
 import hashlib
 import json
 import os
@@ -102,10 +101,6 @@ def validate_config(cfg):
         path = resolve_dataset_path(ds)
         if not os.path.isdir(path):
             raise ConfigError(f"CIFAR-10 directory not found: {path}")
-    if cfg["erosion"]["upsample_mode"] not in ("nearest", "bilinear"):
-        raise ConfigError(
-            f"upsample_mode must be nearest or bilinear, got "
-            f"{cfg['erosion']['upsample_mode']!r}")
     for section, key in (("fed", "num_clients"), ("fed", "rounds"),
                          ("erosion", "steps"),
                          ("eval", "members_per_client"),
@@ -116,6 +111,11 @@ def validate_config(cfg):
                               f"integer, got {value!r}")
     if not isinstance(cfg["seed"], int):
         raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    try:
+        fed_config(cfg)
+        erosion_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def resolve_dataset_path(ds):
@@ -199,18 +199,12 @@ def cmd_train(cfg, workers=1):
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     nn.save_checkpoint(ckpt_path, model)
 
-    meta = output_metadata(cfg)
     log_path = os.path.join(out_dir, "training_log.csv")
-    with open(log_path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["round", "train_acc", "test_acc",
-                         "mean_client_loss"])
-        for row in log:
-            writer.writerow([row["round"], repr(row["train_acc"]),
-                             repr(row["test_acc"]),
-                             repr(row["mean_client_loss"])])
+    metrics.write_csv(
+        log_path, ["round", "train_acc", "test_acc", "mean_client_loss"],
+        ([row["round"], repr(row["train_acc"]), repr(row["test_acc"]),
+          repr(row["mean_client_loss"])] for row in log),
+        output_metadata(cfg))
     if log:
         final = log[-1]
         print(f"trained {cfg['fed']['rounds']} rounds: "
@@ -292,7 +286,6 @@ def cmd_ablate(cfg, checkpoint, workers=1):
     os.makedirs(out_dir, exist_ok=True)
     model = nn.load_checkpoint(checkpoint)
     samples = _eval_samples(cfg, model)
-    meta = output_metadata(cfg)
     rows = []
     for mode in ("nearest", "bilinear"):
         records = attacks.evaluate_attacks(
@@ -300,13 +293,9 @@ def cmd_ablate(cfg, checkpoint, workers=1):
         scores = [(r.scores["resmia"], r.is_member) for r in records]
         rows.append((mode, metrics.auc(metrics.roc_curve(scores))))
     path = os.path.join(out_dir, "ablation.csv")
-    with open(path, "w", newline="") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["upsample_mode", "auc_resmia"])
-        for mode, value in rows:
-            writer.writerow([mode, repr(value)])
+    metrics.write_csv(path, ["upsample_mode", "auc_resmia"],
+                      ([mode, repr(value)] for mode, value in rows),
+                      output_metadata(cfg))
     for mode, value in rows:
         print(f"{mode}: auc={value:.3f}")
     print(f"ablation: {path}")
@@ -358,17 +347,14 @@ def cmd_report(out_dir):
     if os.path.exists(ablation_path):
         lines.append("")
         lines.append("upsampling ablation (resmia auc)")
-        with open(ablation_path, newline="") as fh:
-            rows = [line for line in fh if not line.startswith("# ")]
-        for row in csv.DictReader(rows):
+        rows, _ = metrics.read_csv(ablation_path)
+        for row in rows:
             lines.append(f"{row['upsample_mode']}: "
                          f"{float(row['auc_resmia']):.3f}")
     text = "\n".join(lines) + "\n"
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w") as fh:
-        for key in sorted(meta):
-            fh.write(f"# {key}={meta[key]}\n")
-        fh.write(text)
+        fh.write(metrics.preamble(meta) + text)
     print(text, end="")
     print(f"summary: {summary_path}")
     print(f"roc polylines: {roc_path}")

@@ -1,4 +1,4 @@
-"""ROC/AUC evaluation and report assembly for attack score sets.
+"""ROC/AUC evaluation, report assembly, and the results-CSV format.
 
 The ROC construction sweeps all distinct score thresholds with tied
 scores grouped (samples sharing a score enter the positive set
@@ -6,6 +6,7 @@ together), so constant scores yield exactly the diagonal.
 """
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -41,19 +42,26 @@ def _split_scores(scores):
     return vals, labels, n_pos
 
 
-def roc_curve(scores) -> RocCurve:
-    """scores: iterable of (score, is_member); higher = more member-like."""
+def _tie_groups(scores):
+    """Scores sorted high to low, cut at the end of each tie group.
+
+    Returns (vals, tps, fps, n_pos, n_neg): the score of each group and
+    the cumulative member / non-member counts scoring >= it.
+    """
     vals, labels, n_pos = _split_scores(scores)
-    n_neg = len(labels) - n_pos
     order = np.argsort(-vals, kind="stable")
     vals, labels = vals[order], labels[order]
-    tps = np.cumsum(labels)
-    fps = np.cumsum(~labels)
-    # keep only the last entry of each tie group
     last = np.nonzero(np.diff(vals, append=-np.inf))[0]
-    points = [(0.0, 0.0)]
-    points += [(fps[i] / n_neg, tps[i] / n_pos) for i in last]
-    return RocCurve(points=np.array(points, dtype=np.float64))
+    tps = np.cumsum(labels)[last]
+    fps = np.cumsum(~labels)[last]
+    return vals[last], tps, fps, n_pos, len(labels) - n_pos
+
+
+def roc_curve(scores) -> RocCurve:
+    """scores: iterable of (score, is_member); higher = more member-like."""
+    _, tps, fps, n_pos, n_neg = _tie_groups(scores)
+    return RocCurve(points=np.column_stack((np.r_[0, fps] / n_neg,
+                                            np.r_[0, tps] / n_pos)))
 
 
 def auc(curve: RocCurve) -> float:
@@ -68,13 +76,13 @@ def fpr_at_tpr(curve: RocCurve, target_tpr: float) -> float:
     if not 0.0 < target_tpr <= 1.0:
         raise ValueError(f"target TPR must be in (0, 1], got {target_tpr}")
     fpr, tpr = curve.fpr, curve.tpr
-    for i in range(len(tpr)):
-        if tpr[i] >= target_tpr:
-            if i == 0 or tpr[i] == tpr[i - 1]:
-                return float(fpr[i])
-            t = (target_tpr - tpr[i - 1]) / (tpr[i] - tpr[i - 1])
-            return float(fpr[i - 1] + t * (fpr[i] - fpr[i - 1]))
-    return 1.0  # unreachable: curve ends at TPR 1
+    i = int(np.searchsorted(tpr, target_tpr))  # tpr is non-decreasing
+    if i == len(tpr):
+        return 1.0  # unreachable: curve ends at TPR 1
+    if i == 0 or tpr[i] == tpr[i - 1]:
+        return float(fpr[i])
+    t = (target_tpr - tpr[i - 1]) / (tpr[i] - tpr[i - 1])
+    return float(fpr[i - 1] + t * (fpr[i] - fpr[i - 1]))
 
 
 def accuracy_at_best_threshold(scores):
@@ -84,14 +92,10 @@ def accuracy_at_best_threshold(scores):
     chosen on the evaluation scores themselves (oracle-threshold
     accuracy); accuracy ties resolve toward the lower threshold.
     """
-    vals, labels, _ = _split_scores(scores)
-    best_acc, best_thr = -1.0, None
-    for thr in np.unique(vals):
-        pred = vals >= thr
-        acc = float(np.mean(pred == labels))
-        if acc > best_acc:
-            best_acc, best_thr = acc, float(thr)
-    return best_acc, best_thr
+    vals, tps, fps, n_pos, n_neg = _tie_groups(scores)
+    acc = (tps + n_neg - fps) / (n_pos + n_neg)
+    best = len(acc) - 1 - int(np.argmax(acc[::-1]))  # last = lowest thr
+    return float(acc[best]), float(vals[best])
 
 
 def per_client_auc(records, attack="resmia"):
@@ -172,11 +176,52 @@ def build_report(records, erosion_steps, timing=None, metadata=None,
 
 def write_roc_csv(path, curves_by_attack, metadata=None):
     """ROC polylines as CSV rows (attack, fpr, tpr)."""
+    write_csv(path, ["attack", "fpr", "tpr"],
+              ([name, repr(float(fpr)), repr(float(tpr))]
+               for name in sorted(curves_by_attack)
+               for fpr, tpr in curves_by_attack[name].points),
+              metadata)
+
+
+# ---------------------------------------------------------------------------
+# results-CSV format, shared by every output file: a `# key=value`
+# metadata preamble (keys sorted), then a header row and data rows
+
+
+def preamble(metadata):
+    """The `# key=value` lines, keys sorted, one per metadata entry."""
+    return "".join(f"# {key}={metadata[key]}\n"
+                   for key in sorted(metadata or {}))
+
+
+def write_csv(path, header, rows, metadata=None):
+    """Write preamble, header and rows; cells are written as given, so
+    callers format floats with repr for byte-identical reruns."""
     with open(path, "w", newline="") as fh:
-        for key in sorted(metadata or {}):
-            fh.write(f"# {key}={metadata[key]}\n")
+        fh.write(preamble(metadata))
         writer = csv.writer(fh)
-        writer.writerow(["attack", "fpr", "tpr"])
-        for name in sorted(curves_by_attack):
-            for fpr, tpr in curves_by_attack[name].points:
-                writer.writerow([name, repr(float(fpr)), repr(float(tpr))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_csv(path):
+    """Inverse of write_csv: returns (row iterator, metadata).
+
+    The preamble is read up front; rows stream as dicts keyed by the
+    header, and the file closes when they are exhausted or the iterator
+    is closed.
+    """
+    rows = _read_csv(path)
+    return rows, next(rows)
+
+
+def _read_csv(path):
+    with open(path, newline="") as fh:
+        metadata = {}
+        line = fh.readline()
+        while line.startswith("# "):
+            key, _, value = line[2:].rstrip("\n").partition("=")
+            metadata[key] = value
+            line = fh.readline()
+        yield metadata
+        yield from csv.DictReader(itertools.chain([line], fh))

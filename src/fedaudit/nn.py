@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-LAYER_KINDS = ("conv", "maxpool", "flatten", "dense_relu", "dense")
-
 CHECKPOINT_MAGIC = b"FEDAUDIT-CKPT v1\n"
 
 
@@ -207,13 +205,9 @@ def forward_batch(params, arch, x, caches=None):
     return a
 
 
-def probs_batch(params, arch, x):
-    return _softmax(forward_batch(params, arch, x))
-
-
 def forward(params, arch, img):
     """Single-image forward pass returning a probability vector."""
-    return probs_batch(params, arch, img[None])[0]
+    return _softmax(forward_batch(params, arch, img[None]))[0]
 
 
 def loss_and_gradients(params, arch, images, labels):
@@ -288,11 +282,6 @@ def sgd_step(params, grads, lr):
     return out
 
 
-def copy_params(params):
-    return [None if p is None else {"W": p["W"].copy(), "b": p["b"].copy()}
-            for p in params]
-
-
 # ---------------------------------------------------------------------------
 # black-box facade
 
@@ -320,10 +309,6 @@ class Model:
     @property
     def query_count(self) -> int:
         return self._query_count
-
-    def reset_query_count(self):
-        with self._lock:
-            self._query_count = 0
 
 
 # ---------------------------------------------------------------------------

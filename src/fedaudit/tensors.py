@@ -37,15 +37,6 @@ class ErosionConfig:
                 f"got {self.upsample_mode!r}")
 
 
-def validate_image(img: np.ndarray) -> np.ndarray:
-    """Check the (C, H, W) float image contract; returns the array."""
-    if img.ndim != 3:
-        raise ValueError(f"expected (C, H, W) image, got shape {img.shape}")
-    if not np.all(np.isfinite(img)):
-        raise ValueError("image contains non-finite values")
-    return img
-
-
 def avg_pool(img: np.ndarray, factor: int) -> np.ndarray:
     """Non-overlapping average pooling with a factor x factor kernel.
 

@@ -166,10 +166,16 @@ class TestOverridesAndErrors:
         assert cli.main(["train", "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_bad_config_value_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"fed": {"rounds": -1}})
+    @pytest.mark.parametrize("extra, fragment", [
+        ({"fed": {"rounds": -1}}, "fed.rounds"),
+        ({"fed": {"lr": -1}}, "lr must be >= 0"),
+        ({"erosion": {"pool_factor": 1}}, "pool_factor must be >= 2"),
+    ], ids=["rounds", "lr", "pool_factor"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, extra,
+                                      fragment):
+        cfg = write_config(tmp_path, extra)
         assert cli.main(["train", "--config", cfg]) == 2
-        assert "fed.rounds" in capsys.readouterr().err
+        assert fragment in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -24,6 +24,30 @@ def mann_whitney_auc(scores):
     return total / (len(members) * len(non))
 
 
+def best_accuracy_oracle(scores):
+    """Threshold-by-threshold sweep; ties go to the lowest threshold."""
+    vals = np.array([s for s, _ in scores])
+    labels = np.array([m for _, m in scores])
+    best_acc, best_thr = -1.0, None
+    for thr in np.unique(vals):
+        acc = float(np.mean((vals >= thr) == labels))
+        if acc > best_acc:
+            best_acc, best_thr = acc, float(thr)
+    return best_acc, best_thr
+
+
+def fpr_at_tpr_oracle(curve, target):
+    """First vertex reaching the target, interpolated from its predecessor."""
+    fpr, tpr = curve.fpr, curve.tpr
+    for i in range(len(tpr)):
+        if tpr[i] >= target:
+            if i == 0 or tpr[i] == tpr[i - 1]:
+                return float(fpr[i])
+            t = (target - tpr[i - 1]) / (tpr[i] - tpr[i - 1])
+            return float(fpr[i - 1] + t * (fpr[i] - fpr[i - 1]))
+    return 1.0
+
+
 def random_scores(rng, n_pos, n_neg, shift=0.0, ties=False):
     pos = rng.random(n_pos) + shift
     neg = rng.random(n_neg)
@@ -83,6 +107,22 @@ class TestAuc:
             scores = random_scores(rng, n_pos, n_neg, ties=trial % 3 == 0)
             got = auc(roc_curve(scores))
             assert abs(got - mann_whitney_auc(scores)) < 1e-9
+        # few distinct values, so every threshold is a tie group; the
+        # tie-group sweep must also match the per-threshold oracles
+        for _ in range(200):
+            n_pos = int(rng.integers(1, 41))
+            n_neg = int(rng.integers(1, 41))
+            levels = int(rng.integers(1, 6))
+            scores = [(float(s), True) for s in rng.integers(0, levels, n_pos)]
+            scores += [(float(s), False)
+                       for s in rng.integers(0, levels, n_neg)]
+            curve = roc_curve(scores)
+            assert abs(auc(curve) - mann_whitney_auc(scores)) < 1e-9
+            assert accuracy_at_best_threshold(scores) == \
+                best_accuracy_oracle(scores)
+            for k in range(1, n_pos + 1):
+                assert fpr_at_tpr(curve, k / n_pos) == \
+                    fpr_at_tpr_oracle(curve, k / n_pos)
 
     def test_invariant_under_monotone_transforms(self):
         rng = np.random.default_rng(2)
