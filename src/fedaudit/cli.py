@@ -93,7 +93,38 @@ def load_config(path=None, overrides=None):
     return cfg
 
 
+# Every key a config may hold, with a value of the type it must have:
+# DEFAULT_CONFIG plus the keys that have no default.
+_SCHEMA = _merge(DEFAULT_CONFIG, {"dataset": {"path": "",
+                                              "subset_per_class": 0}})
+# scalar type in the schema -> (accepted types, name); bools never pass
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          str: ((str,), "a string")}
+
+
+def _check_types(value, like, name):
+    """Raise ConfigError unless value has the shape and types of like."""
+    if isinstance(like, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be an object, got {value!r}")
+        for key, item in value.items():
+            full = f"{name}.{key}" if name else key
+            if key not in like:
+                raise ConfigError(f"unknown config key {full}")
+            _check_types(item, like[key], full)
+    elif isinstance(like, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_types(item, like[0], f"{name}[{i}]")
+    else:
+        types, kind = _KINDS[type(like)]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{name} must be {kind}, got {value!r}")
+
+
 def validate_config(cfg):
+    _check_types(cfg, _SCHEMA, "")
     ds = cfg["dataset"]
     if ds["type"] not in ("synthetic", "cifar10"):
         raise ConfigError(f"unknown dataset type {ds['type']!r}")
@@ -102,20 +133,31 @@ def validate_config(cfg):
         if not os.path.isdir(path):
             raise ConfigError(f"CIFAR-10 directory not found: {path}")
     for section, key in (("fed", "num_clients"), ("fed", "rounds"),
-                         ("erosion", "steps"),
                          ("eval", "members_per_client"),
                          ("eval", "total_nonmembers")):
         value = cfg[section][key]
-        if not isinstance(value, int) or value < 0:
+        if value < 0:
             raise ConfigError(f"{section}.{key} must be a non-negative "
                               f"integer, got {value!r}")
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError(f"seed must be an integer, got {cfg['seed']!r}")
+    steps = cfg["erosion"]["steps"]
+    if steps < 1:
+        raise ConfigError(f"erosion.steps must be >= 1, got {steps}")
+    # CIFAR-10 images are 3x32x32 whatever dataset.dims says
+    dims = ds["dims"] if ds["type"] == "synthetic" else [3, 32, 32]
+    if len(dims) != 3:
+        raise ConfigError(f"dataset.dims must be [channels, height, "
+                          f"width], got {dims}")
     try:
         fed_config(cfg)
-        erosion_config(cfg)
+        ero = erosion_config(cfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # pool_factor >= 2, so past 64 steps the power divides no image size
+    total = ero.pool_factor ** min(ero.steps, 65)
+    if dims[1] % total or dims[2] % total:
+        raise ConfigError(
+            f"erosion pool_factor**steps = {ero.pool_factor}**{ero.steps} "
+            f"does not divide the image dims {dims[1]}x{dims[2]}")
 
 
 def resolve_dataset_path(ds):
@@ -424,6 +466,8 @@ def main(argv=None) -> int:
         if args.command == "report":
             cmd_report(args.out)
             return EXIT_OK
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config, _overrides(args))
         if args.command == "train":
             cmd_train(cfg, workers=args.workers)

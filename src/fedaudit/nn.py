@@ -6,10 +6,17 @@ plain SGD step.  Layer math follows the dtype of its inputs, so float64
 can be pushed through for high-precision checks while training runs in
 float32.
 
+Activations keep their logical NCHW shape, but the conv and maxpool
+kernels store them channels-last: the arrays they return are
+``(N, H, W, C)`` buffers seen through a transposed view.  Every kernel
+accepts either layout and gives the same bits for both, so the layout
+only changes how fast the copies between layers run.
+
 The :class:`Model` facade is the only surface attacks are allowed to use:
 it answers image -> class-probability queries and counts them.
 """
 
+import itertools
 import json
 import threading
 from dataclasses import dataclass, field
@@ -25,6 +32,10 @@ class ShapeMismatchError(ValueError):
 
 class LabelRangeError(ValueError):
     pass
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that is not a complete, well-formed checkpoint."""
 
 
 @dataclass(frozen=True)
@@ -84,31 +95,38 @@ def default_architecture(input_shape=(3, 32, 32), num_classes=10):
         num_classes=num_classes)
 
 
+def _param_shapes(arch: ArchitectureDescriptor) -> list:
+    """(W shape, b shape) per layer, None where the layer has no
+    parameters."""
+    shapes = []
+    for layer, (in_dim, *_) in zip(arch.layers, arch.layer_shapes()):
+        if layer[0] == "conv":
+            shapes.append(((layer[1], in_dim, 3, 3), (layer[1],)))
+        elif layer[0] in ("dense_relu", "dense"):
+            shapes.append(((in_dim, layer[1]), (layer[1],)))
+        else:
+            shapes.append(None)
+    return shapes
+
+
 def init_params(arch: ArchitectureDescriptor, seed: int) -> list:
     """Glorot-uniform parameter blocks, one entry per layer (None where
     the layer has no parameters)."""
     rng = np.random.default_rng(seed)
-    shapes = arch.layer_shapes()
     params = []
-    for i, layer in enumerate(arch.layers):
-        kind = layer[0]
-        if kind == "conv":
-            in_c = shapes[i][0]
-            out_c = layer[1]
-            fan_in, fan_out = in_c * 9, out_c * 9
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, (out_c, in_c, 3, 3))
-            params.append({"W": w.astype(np.float32),
-                           "b": np.zeros(out_c, dtype=np.float32)})
-        elif kind in ("dense_relu", "dense"):
-            fan_in = shapes[i][0]
-            fan_out = layer[1]
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, (fan_in, fan_out))
-            params.append({"W": w.astype(np.float32),
-                           "b": np.zeros(fan_out, dtype=np.float32)})
-        else:
+    for shape in _param_shapes(arch):
+        if shape is None:
             params.append(None)
+            continue
+        w_shape, b_shape = shape
+        if len(w_shape) == 4:  # conv (out, in, 3, 3): 9 taps per channel
+            fan_in, fan_out = w_shape[1] * 9, w_shape[0] * 9
+        else:                  # dense (in, out)
+            fan_in, fan_out = w_shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w = rng.uniform(-limit, limit, w_shape)
+        params.append({"W": w.astype(np.float32),
+                       "b": np.zeros(b_shape, dtype=np.float32)})
     return params
 
 
@@ -119,50 +137,78 @@ def init_params(arch: ArchitectureDescriptor, seed: int) -> list:
 def _conv_forward(x, w, b):
     n, c, h, wd = x.shape
     out_c = w.shape[0]
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    xp = np.zeros((n, h + 2, wd + 2, c), dtype=x.dtype)
+    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
+    # im2col: one row per (n, y, x) position, columns ordered (c, di, dj)
     cols = np.empty((n, h, wd, c, 3, 3), dtype=xp.dtype)
     for di in range(3):
         for dj in range(3):
-            cols[:, :, :, :, di, dj] = \
-                xp[:, :, di:di + h, dj:dj + wd].transpose(0, 2, 3, 1)
+            cols[..., di, dj] = xp[:, di:di + h, dj:dj + wd]
     mat = cols.reshape(n * h * wd, c * 9)
     y = mat @ w.reshape(out_c, c * 9).T + b
     y = y.reshape(n, h, wd, out_c).transpose(0, 3, 1, 2)
     return y, (mat, x.shape)
 
 
-def _conv_backward(dy, w, cache):
+def _conv_backward(dy, w, cache, input_grad=True):
+    """(dx, dW, db); dx is None when input_grad is false."""
     mat, x_shape = cache
     n, c, h, wd = x_shape
     out_c = w.shape[0]
     dym = dy.transpose(0, 2, 3, 1).reshape(n * h * wd, out_c)
     dw = (dym.T @ mat).reshape(out_c, c, 3, 3)
     db = dym.sum(axis=0)
+    if not input_grad:
+        return None, dw, db
     dcols = (dym @ w.reshape(out_c, c * 9)).reshape(n, h, wd, c, 3, 3)
-    dxp = np.zeros((n, c, h + 2, wd + 2), dtype=dcols.dtype)
+    dxp = np.zeros((n, h + 2, wd + 2, c), dtype=dcols.dtype)
     for di in range(3):
         for dj in range(3):
-            dxp[:, :, di:di + h, dj:dj + wd] += \
-                dcols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
-    return dxp[:, :, 1:-1, 1:-1], dw, db
+            dxp[:, di:di + h, dj:dj + wd] += dcols[..., di, dj]
+    return dxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), dw, db
+
+
+def _bits(a):
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
+def _select(mask, a, b):
+    """b where mask else a, bit for bit, by integer masking: np.where
+    gives the same bits but is several times slower."""
+    a_bits = _bits(a)
+    out = a_bits ^ _bits(b)
+    out *= mask  # keep the bits that differ only where mask holds
+    out ^= a_bits
+    return out.view(a.dtype)
 
 
 def _maxpool_forward(x):
+    """2x2 max pool; idx is the window position of each maximum, the
+    first one on ties (as argmax: -0.0 ties 0.0, the first NaN wins)."""
     n, c, h, w = x.shape
-    win = x.reshape(n, c, h // 2, 2, w // 2, 2)
-    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
-    idx = win.argmax(axis=-1)  # ties resolve to the first index
-    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return y, (idx, x.shape)
+    # window position k as the contiguous channels-last block wins[k]
+    wins = np.ascontiguousarray(
+        x.transpose(0, 2, 3, 1).reshape(n, h // 2, 2, w // 2, 2, c)
+        .transpose(2, 4, 0, 1, 3, 5)).reshape(4, n, h // 2, w // 2, c)
+    y = wins[0]
+    idx = np.zeros(y.shape, dtype=np.uint8)
+    for k in range(1, 4):
+        # strictly greater, or a NaN against a number
+        better = (y == y) & ~(wins[k] <= y)
+        y = _select(better, y, wins[k])
+        idx = np.maximum(idx, better * np.uint8(k))  # k beats earlier picks
+    return y.transpose(0, 3, 1, 2), (idx.transpose(0, 3, 1, 2), x.shape)
 
 
 def _maxpool_backward(dy, cache):
-    idx, x_shape = cache
-    n, c, h, w = x_shape
-    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dy.dtype)
-    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
-    dwin = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return dwin.reshape(n, c, h, w)
+    idx, (n, c, h, w) = cache
+    dy_bits = _bits(np.ascontiguousarray(dy.transpose(0, 2, 3, 1)))
+    idx = idx.transpose(0, 2, 3, 1)
+    dx = np.empty((n, h // 2, 2, w // 2, 2, c), dtype=dy_bits.dtype)
+    for k in range(4):
+        # dy at the chosen window position k = 2 * row + col, +0.0 elsewhere
+        np.multiply(dy_bits, idx == k, out=dx[:, :, k // 2, :, k % 2])
+    return dx.reshape(n, h, w, c).view(dy.dtype).transpose(0, 3, 1, 2)
 
 
 def _softmax(logits):
@@ -202,6 +248,7 @@ def forward_batch(params, arch, x, caches=None):
                 cache = (cache, mask)
         if caches is not None:
             caches.append(cache)
+        cache = mask = None  # else a conv's im2col matrix outlives its layer
     return a
 
 
@@ -256,7 +303,9 @@ def loss_and_gradients(params, arch, images, labels):
         elif kind == "conv":
             conv_cache, mask = cache
             da = da * mask
-            da, dw, db = _conv_backward(da, params[i]["W"], conv_cache)
+            # the first layer's input is the image batch: no gradient
+            da, dw, db = _conv_backward(da, params[i]["W"], conv_cache,
+                                        input_grad=i > 0)
             grads[i]["W"] = dw
             grads[i]["b"] = db
     return loss, grads
@@ -347,23 +396,48 @@ def save_checkpoint(path, model: Model):
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint; CheckpointError unless the file holds exactly
+    the arrays its architecture needs, and nothing after them."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        header = json.loads(fh.readline())
-        arch = ArchitectureDescriptor(
-            input_shape=tuple(header["arch"]["input_shape"]),
-            layers=tuple(tuple(layer) for layer in header["arch"]["layers"]),
-            num_classes=header["arch"]["num_classes"])
-        params = [None] * len(arch.layers)
-        for spec in header["arrays"]:
-            raw = fh.read(int(np.prod(spec["shape"]))
-                          * np.dtype(spec["dtype"]).itemsize)
-            arr = np.frombuffer(raw, dtype=np.dtype(spec["dtype"]))
-            arr = arr.reshape(spec["shape"]).copy()
-            if params[spec["layer"]] is None:
-                params[spec["layer"]] = {}
-            params[spec["layer"]][spec["name"]] = arr
-    return Model(arch=arch, params=params, seed=header["seed"],
-                 _query_count=header["query_count"])
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        try:
+            header = json.loads(fh.readline())
+            arch = ArchitectureDescriptor(
+                input_shape=tuple(header["arch"]["input_shape"]),
+                layers=tuple(tuple(layer)
+                             for layer in header["arch"]["layers"]),
+                num_classes=header["arch"]["num_classes"])
+            seed, query_count = header["seed"], header["query_count"]
+            specs = [(spec["layer"], spec["name"], tuple(spec["shape"]),
+                      np.dtype(spec["dtype"])) for spec in header["arrays"]]
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
+        param_shapes = _param_shapes(arch)
+        expected = [(i, name, shape)
+                    for i, shapes in enumerate(param_shapes)
+                    if shapes is not None
+                    for name, shape in zip(("W", "b"), shapes)]
+        for got, want in itertools.zip_longest(
+                [spec[:3] for spec in specs], expected):
+            if got != want:
+                raise CheckpointError(
+                    f"{path}: array (layer, name, shape) {got} where the "
+                    f"architecture needs {want}")
+        params = [None if shapes is None else {}
+                  for shapes in param_shapes]
+        for layer, name, shape, dtype in specs:
+            size = int(np.prod(shape)) * dtype.itemsize
+            raw = fh.read(size)
+            if len(raw) != size:
+                raise CheckpointError(
+                    f"{path}: truncated in layer {layer} {name}: "
+                    f"{len(raw)} of {size} bytes")
+            params[layer][name] = \
+                np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        if fh.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last "
+                                  f"array")
+    return Model(arch=arch, params=params, seed=seed,
+                 _query_count=query_count)

@@ -170,12 +170,58 @@ class TestOverridesAndErrors:
         ({"fed": {"rounds": -1}}, "fed.rounds"),
         ({"fed": {"lr": -1}}, "lr must be >= 0"),
         ({"erosion": {"pool_factor": 1}}, "pool_factor must be >= 2"),
-    ], ids=["rounds", "lr", "pool_factor"])
+        ({"erosion": {"steps": 0}}, "erosion.steps must be >= 1"),
+        # 2**5 = 32 does not divide the 16x16 images
+        ({"erosion": {"steps": 5}}, "pool_factor**steps = 2**5 does not"),
+        ({"erosion": {"steps": 10**9}}, "2**1000000000 does not divide"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"fed": {"batch_size": False}}, "fed.batch_size must be an integer"),
+        ({"fed": {"lr": True}}, "fed.lr must be a number"),
+        ({"erosion": {"step": 5}}, "unknown config key erosion.step"),
+        ({"evaluation": {}}, "unknown config key evaluation"),
+        ({"dataset": {"dims": [3, 16]}}, "dataset.dims must be"),
+        ({"arch": {"conv_channels": [4, "8"]}},
+         "arch.conv_channels[1] must be an integer"),
+    ], ids=["rounds", "lr", "pool_factor", "steps_zero", "steps_too_many",
+            "huge_steps", "seed_bool", "batch_size_bool", "lr_bool",
+            "unknown_key", "unknown_section", "dims_length",
+            "channel_type"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, extra,
                                       fragment):
         cfg = write_config(tmp_path, extra)
         assert cli.main(["train", "--config", cfg]) == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flags, fragment", [
+        ("attack", ["--erosion-steps", "0"], "erosion.steps must be >= 1"),
+        ("attack", ["--erosion-steps", "5"], "does not divide"),
+        ("ablate", ["--erosion-steps", "-1"], "erosion.steps must be >= 1"),
+        ("train", ["--workers", "0"], "--workers must be >= 1"),
+        ("attack", ["--workers", "-3"], "--workers must be >= 1"),
+    ], ids=["steps_zero", "steps_too_many", "steps_negative", "workers_zero",
+            "workers_negative"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, command, flags,
+                              fragment):
+        argv = [command, "--config", write_config(tmp_path),
+                "--out", str(tmp_path / "run"), *flags]
+        if command != "train":
+            argv += ["--checkpoint", str(tmp_path / "missing.ckpt")]
+        assert cli.main(argv) == 2
+        assert fragment in capsys.readouterr().err
+
+    def test_dataset_path_key_accepted(self, tmp_path):
+        cfg = cli.load_config(write_config(
+            tmp_path, {"dataset": {"path": "elsewhere"}}))
+        assert cfg["dataset"]["path"] == "elsewhere"
+
+    def test_truncated_checkpoint_exits_1(self, tmp_path, capsys):
+        cfg, out, ckpt = run_pipeline(tmp_path)
+        with open(ckpt, "r+b") as fh:
+            fh.truncate(os.path.getsize(ckpt) - 1)
+        capsys.readouterr()
+        assert cli.main(["attack", "--config", cfg, "--out", out,
+                         "--checkpoint", ckpt]) == 1
+        assert "truncated" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -1,3 +1,4 @@
+import json
 import threading
 
 import numpy as np
@@ -309,6 +310,56 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             nn.load_checkpoint(path)
 
+    def saved(self, tmp_path):
+        arch = nn.default_architecture(input_shape=(3, 8, 8), num_classes=4)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, nn.Model(arch=arch,
+                                          params=nn.init_params(arch, 2)))
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [1, 4, 100, 1000])
+    def test_truncated_rejected(self, tmp_path, cut):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(nn.CheckpointError, match="truncated"):
+            nn.load_checkpoint(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw[:len(nn.CHECKPOINT_MAGIC) + 20])
+        with pytest.raises(nn.CheckpointError, match="bad header"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("tail", [b"\0", b"extra bytes"])
+    def test_trailing_bytes_rejected(self, tmp_path, tail):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(raw + tail)
+        with pytest.raises(nn.CheckpointError, match="trailing bytes"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", ["swap_dims", "drop_array",
+                                      "wrong_layer"])
+    def test_array_shapes_must_match_architecture(self, tmp_path, edit):
+        path, raw = self.saved(tmp_path)
+        magic = len(nn.CHECKPOINT_MAGIC)
+        end = raw.index(b"\n", magic) + 1
+        header = json.loads(raw[magic:end])
+        arrays = header["arrays"]
+        if edit == "swap_dims":    # same byte count, wrong shape
+            arrays[0]["shape"] = arrays[0]["shape"][::-1]
+        elif edit == "drop_array":
+            arrays.pop()
+        else:
+            arrays[0]["layer"] = 1
+        path.write_bytes(raw[:magic] + json.dumps(header).encode() + b"\n"
+                         + raw[end:])
+        with pytest.raises(nn.CheckpointError,
+                           match="architecture needs"):
+            nn.load_checkpoint(path)
+
+    def test_checkpoint_error_is_value_error(self):
+        assert issubclass(nn.CheckpointError, ValueError)
+
 
 class TestArchitectureDescriptor:
     def test_final_width_must_match_classes(self):
@@ -329,3 +380,229 @@ class TestArchitectureDescriptor:
         assert shapes[0] == (3, 32, 32)
         assert shapes[-1] == (10,)
         assert (16, 8, 8) in shapes
+
+
+# ---------------------------------------------------------------------------
+# layer kernels against frozen copies of the original im2col/argmax kernels
+
+
+def ref_conv_forward(x, w, b):
+    n, c, h, wd = x.shape
+    out_c = w.shape[0]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    cols = np.empty((n, h, wd, c, 3, 3), dtype=xp.dtype)
+    for di in range(3):
+        for dj in range(3):
+            cols[:, :, :, :, di, dj] = \
+                xp[:, :, di:di + h, dj:dj + wd].transpose(0, 2, 3, 1)
+    mat = cols.reshape(n * h * wd, c * 9)
+    y = mat @ w.reshape(out_c, c * 9).T + b
+    y = y.reshape(n, h, wd, out_c).transpose(0, 3, 1, 2)
+    return y, (mat, x.shape)
+
+
+def ref_conv_backward(dy, w, cache):
+    mat, x_shape = cache
+    n, c, h, wd = x_shape
+    out_c = w.shape[0]
+    dym = dy.transpose(0, 2, 3, 1).reshape(n * h * wd, out_c)
+    dw = (dym.T @ mat).reshape(out_c, c, 3, 3)
+    db = dym.sum(axis=0)
+    dcols = (dym @ w.reshape(out_c, c * 9)).reshape(n, h, wd, c, 3, 3)
+    dxp = np.zeros((n, c, h + 2, wd + 2), dtype=dcols.dtype)
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, :, di:di + h, dj:dj + wd] += \
+                dcols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
+    return dxp[:, :, 1:-1, 1:-1], dw, db
+
+
+def ref_maxpool_forward(x):
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // 2, 2, w // 2, 2)
+    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h // 2, w // 2, 4)
+    idx = win.argmax(axis=-1)
+    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    return y, (idx, x.shape)
+
+
+def ref_maxpool_backward(dy, cache):
+    idx, x_shape = cache
+    n, c, h, w = x_shape
+    dwin = np.zeros((n, c, h // 2, w // 2, 4), dtype=dy.dtype)
+    np.put_along_axis(dwin, idx[..., None], dy[..., None], axis=-1)
+    dwin = dwin.reshape(n, c, h // 2, w // 2, 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    return dwin.reshape(n, c, h, w)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert np.ascontiguousarray(got).tobytes() == \
+        np.ascontiguousarray(want).tobytes()
+
+
+def channels_last(x):
+    """Same values as x, stored (N, H, W, C) behind an NCHW view."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def tie_heavy(rng, shape):
+    """Mostly tied 2x2 windows: zeros, -0.0, and a few repeated values."""
+    return rng.choice(np.array([0.0, -0.0, 0.5, 0.5, 1.0, -1.0],
+                               dtype=np.float32), size=shape)
+
+
+# (batch, in channels, out channels, height, width)
+CONV_CASES = [(32, 3, 8, 32, 32), (32, 8, 16, 16, 16), (1, 3, 8, 32, 32),
+              (1, 8, 16, 16, 16), (3, 2, 5, 6, 4)]
+
+
+class TestLayerKernels:
+    @pytest.mark.parametrize("case", CONV_CASES, ids=str)
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    def test_conv_matches_reference(self, case, layout):
+        n, c, out_c, h, w = case
+        rng = np.random.default_rng(sum(case))
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        wt = rng.standard_normal((out_c, c, 3, 3)).astype(np.float32)
+        b = rng.standard_normal(out_c).astype(np.float32)
+        dy = rng.standard_normal((n, out_c, h, w)).astype(np.float32)
+        if layout == "channels_last":
+            x, dy = channels_last(x), channels_last(dy)
+        y, cache = nn._conv_forward(x, wt, b)
+        y_ref, cache_ref = ref_conv_forward(x, wt, b)
+        assert_same_bits(y, y_ref)
+        assert_same_bits(cache[0], cache_ref[0])
+        assert cache[1] == cache_ref[1]
+        for got, want in zip(nn._conv_backward(dy, wt, cache),
+                             ref_conv_backward(dy, wt, cache_ref)):
+            assert_same_bits(got, want)
+        dx, dw, db = nn._conv_backward(dy, wt, cache, input_grad=False)
+        assert dx is None
+        assert_same_bits(dw, ref_conv_backward(dy, wt, cache_ref)[1])
+        assert_same_bits(db, ref_conv_backward(dy, wt, cache_ref)[2])
+
+    @pytest.mark.parametrize("fill", ["random", "ties", "zeros",
+                                      "signed_zeros"])
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("shape", [(32, 8, 32, 32), (1, 16, 16, 16),
+                                       (3, 2, 6, 4)], ids=str)
+    def test_maxpool_matches_reference(self, fill, layout, shape):
+        rng = np.random.default_rng(len(fill) + shape[0])
+        if fill == "random":
+            x = rng.standard_normal(shape).astype(np.float32)
+        elif fill == "ties":
+            x = tie_heavy(rng, shape)
+        elif fill == "zeros":
+            x = np.zeros(shape, dtype=np.float32)
+        else:
+            x = np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(
+                np.float32)
+        out_shape = (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
+        dy = rng.standard_normal(out_shape).astype(np.float32)
+        if layout == "channels_last":
+            x, dy = channels_last(x), channels_last(dy)
+        y, (idx, x_shape) = nn._maxpool_forward(x)
+        y_ref, cache_ref = ref_maxpool_forward(x)
+        assert_same_bits(y, y_ref)
+        assert np.array_equal(idx, cache_ref[0])
+        assert x_shape == cache_ref[1]
+        assert_same_bits(nn._maxpool_backward(dy, (idx, x_shape)),
+                         ref_maxpool_backward(dy, cache_ref))
+
+    def test_maxpool_first_index_wins_signed_zero(self):
+        # one window per case: max value placed at several positions
+        x = np.array([[[[-0.0, 0.0], [0.0, -0.0]]],
+                      [[[0.0, -0.0], [-0.0, 0.0]]],
+                      [[[1.0, 2.0], [2.0, 2.0]]],
+                      [[[-1.0, -1.0], [-1.0, -1.0]]]], dtype=np.float32)
+        y, (idx, _) = nn._maxpool_forward(x)
+        assert idx.ravel().tolist() == [0, 0, 1, 0]
+        assert np.signbit(y.ravel()).tolist() == [True, False, False, True]
+
+    def test_maxpool_nan_matches_argmax(self):
+        nan, inf = np.nan, np.inf
+        windows = [[1.0, nan, 2.0, nan], [nan, 5.0, 1.0, 0.0],
+                   [0.0, 1.0, 2.0, nan], [-inf, -inf, nan, -inf],
+                   [inf, nan, inf, 1.0]]
+        x = np.array(windows, dtype=np.float32).reshape(5, 1, 2, 2)
+        dy = np.arange(1, 6, dtype=np.float32).reshape(5, 1, 1, 1)
+        y, cache = nn._maxpool_forward(x)
+        y_ref, cache_ref = ref_maxpool_forward(x)
+        assert_same_bits(y, y_ref)
+        assert np.array_equal(cache[0], cache_ref[0])
+        assert cache[0].ravel().tolist() == [1, 0, 3, 2, 1]
+        assert_same_bits(nn._maxpool_backward(dy, cache),
+                         ref_maxpool_backward(dy, cache_ref))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gradients_match_reference_backward(self, seed):
+        arch = nn.default_architecture(input_shape=(3, 16, 16),
+                                       num_classes=4)
+        params = nn.init_params(arch, seed)
+        rng = np.random.default_rng(seed)
+        images = rng.random((8, 3, 16, 16), dtype=np.float32)
+        labels = rng.integers(0, 4, size=8)
+        loss, grads = nn.loss_and_gradients(params, arch, images, labels)
+        ref_loss, ref_grads = reference_loss_and_gradients(
+            params, arch, images, labels)
+        assert loss == ref_loss
+        for g, r in zip(grads, ref_grads):
+            if r is not None:
+                assert_same_bits(g["W"], r["W"])
+                assert_same_bits(g["b"], r["b"])
+
+
+def reference_loss_and_gradients(params, arch, images, labels):
+    """The original forward/backward with the frozen kernels, computing
+    the input gradient of every layer including the first."""
+    caches, a = [], images
+    for layer, p in zip(arch.layers, params):
+        kind = layer[0]
+        if kind == "conv":
+            a, cache = ref_conv_forward(a, p["W"], p["b"])
+            mask = a > 0
+            a = a * mask
+            cache = (cache, mask)
+        elif kind == "maxpool":
+            a, cache = ref_maxpool_forward(a)
+        elif kind == "flatten":
+            cache = a.shape
+            a = a.reshape(a.shape[0], -1)
+        else:
+            cache = a
+            a = a @ p["W"] + p["b"]
+            if kind == "dense_relu":
+                mask = a > 0
+                a = a * mask
+                cache = (cache, mask)
+        caches.append(cache)
+    n = a.shape[0]
+    zmax = a.max(axis=1, keepdims=True)
+    lse = zmax[:, 0] + np.log(np.exp(a - zmax).sum(axis=1))
+    loss = float(np.mean(lse - a[np.arange(n), labels]))
+    delta = nn._softmax(a)
+    delta[np.arange(n), labels] -= 1.0
+    da = delta / n
+    grads = [None if p is None else {} for p in params]
+    for i in range(len(arch.layers) - 1, -1, -1):
+        kind, cache = arch.layers[i][0], caches[i]
+        if kind in ("dense_relu", "dense"):
+            if kind == "dense_relu":
+                a_in, mask = cache
+                da = da * mask
+            else:
+                a_in = cache
+            grads[i]["W"] = a_in.T @ da
+            grads[i]["b"] = da.sum(axis=0)
+            da = da @ params[i]["W"].T
+        elif kind == "flatten":
+            da = da.reshape(cache)
+        elif kind == "maxpool":
+            da = ref_maxpool_backward(da, cache)
+        else:
+            conv_cache, mask = cache
+            da, grads[i]["W"], grads[i]["b"] = ref_conv_backward(
+                da * mask, params[i]["W"], conv_cache)
+    return loss, grads
