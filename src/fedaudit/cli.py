@@ -257,6 +257,10 @@ def cmd_train(cfg, workers=1):
 
 
 def _eval_samples(cfg, model):
+    if model.seed != cfg["seed"]:
+        # the seed fixes the shards, so another seed mislabels membership
+        raise ValueError(f"checkpoint was trained with seed {model.seed}, "
+                         f"config seed is {cfg['seed']}")
     train, test = build_datasets(cfg)
     if tuple(model.arch.input_shape) != tuple(train.images.shape[1:]):
         raise ValueError(

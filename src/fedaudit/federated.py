@@ -91,23 +91,19 @@ def fedavg_aggregate(client_params, client_sizes):
     total = float(sum(client_sizes))
     if total <= 0:
         raise ValueError("total client size must be positive")
-    out = []
-    for i, ref in enumerate(client_params[0]):
-        if ref is None:
-            out.append(None)
-            continue
-        acc_w = np.zeros(ref["W"].shape, dtype=np.float64)
-        acc_b = np.zeros(ref["b"].shape, dtype=np.float64)
+    shapes = nn.block_shapes(client_params[0])
+    if any(nn.block_shapes(params) != shapes for params in client_params):
+        raise nn.ShapeMismatchError(
+            "parameter shapes or layer counts differ across clients")
+
+    def mean(i, name):
+        acc = np.zeros(shapes[i][name], dtype=np.float64)
         for params, size in zip(client_params, client_sizes):
-            p = params[i]
-            if p["W"].shape != ref["W"].shape:
-                raise nn.ShapeMismatchError(
-                    f"layer {i} shape mismatch across clients")
-            acc_w += (size / total) * p["W"]
-            acc_b += (size / total) * p["b"]
-        out.append({"W": acc_w.astype(ref["W"].dtype),
-                    "b": acc_b.astype(ref["b"].dtype)})
-    return out
+            acc += (size / total) * params[i][name]
+        return acc.astype(client_params[0][i][name].dtype)
+
+    return [None if block is None else {name: mean(i, name) for name in block}
+            for i, block in enumerate(shapes)]
 
 
 def _accuracy(params, arch, images, labels, batch=256):

@@ -18,12 +18,16 @@ it answers image -> class-probability queries and counts them.
 
 import itertools
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 CHECKPOINT_MAGIC = b"FEDAUDIT-CKPT v1\n"
+
+# layer kinds whose output goes through a ReLU
+_RELU = ("conv", "dense_relu")
 
 
 class ShapeMismatchError(ValueError):
@@ -67,6 +71,8 @@ class ArchitectureDescriptor:
         for layer in self.layers:
             kind = layer[0]
             cur = shapes[-1]
+            if kind in ("conv", "maxpool") and len(cur) != 3:
+                raise ValueError(f"{kind} layer needs a (C, H, W) input")
             if kind == "conv":
                 c, h, w = cur
                 shapes.append((layer[1], h, w))
@@ -97,16 +103,12 @@ def default_architecture(input_shape=(3, 32, 32), num_classes=10):
 
 def _param_shapes(arch: ArchitectureDescriptor) -> list:
     """(W shape, b shape) per layer, None where the layer has no
-    parameters."""
-    shapes = []
-    for layer, (in_dim, *_) in zip(arch.layers, arch.layer_shapes()):
-        if layer[0] == "conv":
-            shapes.append(((layer[1], in_dim, 3, 3), (layer[1],)))
-        elif layer[0] in ("dense_relu", "dense"):
-            shapes.append(((in_dim, layer[1]), (layer[1],)))
-        else:
-            shapes.append(None)
-    return shapes
+    parameters.  Conv weights are (out, in, 3, 3), dense ones (in, out)."""
+    dims = [shape[0] for shape in arch.layer_shapes()]
+    return [None if kind in ("maxpool", "flatten")
+            else ((c_out, c_in, 3, 3) if kind == "conv" else (c_in, c_out),
+                  (c_out,))
+            for (kind, *_), c_in, c_out in zip(arch.layers, dims, dims[1:])]
 
 
 def init_params(arch: ArchitectureDescriptor, seed: int) -> list:
@@ -119,11 +121,8 @@ def init_params(arch: ArchitectureDescriptor, seed: int) -> list:
             params.append(None)
             continue
         w_shape, b_shape = shape
-        if len(w_shape) == 4:  # conv (out, in, 3, 3): 9 taps per channel
-            fan_in, fan_out = w_shape[1] * 9, w_shape[0] * 9
-        else:                  # dense (in, out)
-            fan_in, fan_out = w_shape
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        # fan_in + fan_out: both channel counts times the taps per channel
+        limit = np.sqrt(6.0 / (sum(w_shape[:2]) * math.prod(w_shape[2:])))
         w = rng.uniform(-limit, limit, w_shape)
         params.append({"W": w.astype(np.float32),
                        "b": np.zeros(b_shape, dtype=np.float32)})
@@ -227,25 +226,19 @@ def forward_batch(params, arch, x, caches=None):
             f"input shape {x.shape[1:]} != architecture input "
             f"{arch.input_shape}")
     a = x
-    for layer, p in zip(arch.layers, params):
-        kind = layer[0]
+    for (kind, *_), p in zip(arch.layers, params):
         if kind == "conv":
             a, cache = _conv_forward(a, p["W"], p["b"])
-            mask = a > 0
-            a = a * mask
-            cache = (cache, mask)
         elif kind == "maxpool":
             a, cache = _maxpool_forward(a)
         elif kind == "flatten":
-            cache = a.shape
-            a = a.reshape(a.shape[0], -1)
-        elif kind in ("dense_relu", "dense"):
-            cache = a
-            a = a @ p["W"] + p["b"]
-            if kind == "dense_relu":
-                mask = a > 0
-                a = a * mask
-                cache = (cache, mask)
+            a, cache = a.reshape(a.shape[0], -1), a.shape
+        else:  # dense_relu, dense
+            a, cache = a @ p["W"] + p["b"], a
+        if kind in _RELU:
+            mask = a > 0
+            a = a * mask
+            cache = (cache, mask)
         if caches is not None:
             caches.append(cache)
         cache = mask = None  # else a conv's im2col matrix outlives its layer
@@ -282,53 +275,47 @@ def loss_and_gradients(params, arch, images, labels):
     delta[np.arange(n), labels] -= 1.0
     delta /= n
 
-    grads = [None if p is None else {} for p in params]
+    grads = [None] * len(params)
     da = delta
     for i in range(len(arch.layers) - 1, -1, -1):
-        kind = arch.layers[i][0]
-        cache = caches[i]
-        if kind in ("dense_relu", "dense"):
-            if kind == "dense_relu":
-                a_in, mask = cache
-                da = da * mask
-            else:
-                a_in = cache
-            grads[i]["W"] = a_in.T @ da
-            grads[i]["b"] = da.sum(axis=0)
-            da = da @ params[i]["W"].T
-        elif kind == "flatten":
-            da = da.reshape(cache)
+        kind, cache = arch.layers[i][0], caches[i]
+        if kind in _RELU:
+            cache, mask = cache
+            da = da * mask
+        if kind == "conv":
+            # the first layer's input is the image batch: no gradient
+            da, dw, db = _conv_backward(da, params[i]["W"], cache,
+                                        input_grad=i > 0)
+            grads[i] = {"W": dw, "b": db}
         elif kind == "maxpool":
             da = _maxpool_backward(da, cache)
-        elif kind == "conv":
-            conv_cache, mask = cache
-            da = da * mask
-            # the first layer's input is the image batch: no gradient
-            da, dw, db = _conv_backward(da, params[i]["W"], conv_cache,
-                                        input_grad=i > 0)
-            grads[i]["W"] = dw
-            grads[i]["b"] = db
+        elif kind == "flatten":
+            da = da.reshape(cache)
+        else:  # dense_relu, dense
+            grads[i] = {"W": cache.T @ da, "b": da.sum(axis=0)}
+            da = da @ params[i]["W"].T
     return loss, grads
+
+
+def block_shapes(params) -> list:
+    """Shape of every array by layer and name (None for a layer without
+    parameters); parameter lists combine elementwise iff these match."""
+    return [None if p is None else {name: a.shape for name, a in p.items()}
+            for p in params]
 
 
 def sgd_step(params, grads, lr):
     """params - lr * grads, elementwise; returns new parameter blocks."""
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    if len(params) != len(grads):
-        raise ShapeMismatchError("params/grads layer count mismatch")
-    out = []
-    for p, g in zip(params, grads):
-        if p is None:
-            out.append(None)
-            continue
-        if g["W"].shape != p["W"].shape or g["b"].shape != p["b"].shape:
-            raise ShapeMismatchError(
-                f"gradient shape {g['W'].shape} != param shape "
-                f"{p['W'].shape}")
-        out.append({"W": (p["W"] - lr * g["W"]).astype(p["W"].dtype),
-                    "b": (p["b"] - lr * g["b"]).astype(p["b"].dtype)})
-    return out
+    got, want = block_shapes(grads), block_shapes(params)
+    if got != want:
+        raise ShapeMismatchError(
+            f"gradient shapes {got} != param shapes {want}")
+    return [None if p is None else
+            {name: (arr - lr * g[name]).astype(arr.dtype)
+             for name, arr in p.items()}
+            for p, g in zip(params, grads)]
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,19 @@ class TestOverridesAndErrors:
     def test_report_without_outputs_exits_1(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "empty")]) == 1
 
-    def test_checkpoint_dataset_mismatch_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("other_config, message", [
+        ({"dataset": {"dims": [3, 8, 8]}}, "does not match dataset dims"),
+        ({"seed": 1}, "trained with seed 0, config seed is 1"),
+    ], ids=["dims", "seed"])
+    @pytest.mark.parametrize("command", ["attack", "ablate"])
+    def test_checkpoint_dataset_mismatch_exits_1(self, tmp_path, capsys,
+                                                 other_config, message,
+                                                 command):
         cfg, out, ckpt = run_pipeline(tmp_path)
-        other = write_config(tmp_path, {"dataset": {"dims": [3, 8, 8]}})
+        other = write_config(tmp_path, other_config)
         os.rename(other, str(tmp_path / "other.json"))
-        rc = cli.main(["attack", "--config", str(tmp_path / "other.json"),
+        capsys.readouterr()
+        rc = cli.main([command, "--config", str(tmp_path / "other.json"),
                        "--out", out, "--checkpoint", ckpt])
         assert rc == 1
+        assert message in capsys.readouterr().err

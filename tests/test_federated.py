@@ -104,11 +104,15 @@ class TestAggregate:
         with pytest.raises(ValueError):
             fedavg_aggregate([scalar_params(1.0)], [0])
 
-    def test_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("other", [
+        [{"W": np.zeros((2, 2)), "b": np.zeros(2)}],
+        [{"W": np.zeros((1, 1)), "b": np.zeros(3)}],
+        scalar_params(1.0) + scalar_params(2.0),
+    ], ids=["weight_shape", "bias_shape", "extra_layer"])
+    def test_shape_mismatch_rejected(self, other):
         a = scalar_params(1.0)
-        b = [{"W": np.zeros((2, 2)), "b": np.zeros(2)}]
         with pytest.raises(nn.ShapeMismatchError):
-            fedavg_aggregate([a, b], [1, 1])
+            fedavg_aggregate([a, other], [1, 1])
 
 
 class TestLocalTrain:

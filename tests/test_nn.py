@@ -381,6 +381,57 @@ class TestArchitectureDescriptor:
         assert shapes[-1] == (10,)
         assert (16, 8, 8) in shapes
 
+    @pytest.mark.parametrize("input_shape, layers, message", [
+        ((1, 2, 2), (("pool",), ("flatten",), ("dense", 3)),
+         "unknown layer kind"),
+        ((1, 3, 3), (("maxpool",), ("flatten",), ("dense", 3)),
+         "odd dims"),
+        ((1, 2, 2), (("dense", 3),), "flat input"),
+        ((1, 2, 2), (("flatten",), ("conv", 2), ("dense", 3)),
+         r"conv layer needs a \(C, H, W\) input"),
+    ], ids=["unknown_kind", "maxpool_odd_dims", "dense_on_image",
+            "conv_on_flat"])
+    def test_invalid_layer_chain_rejected(self, input_shape, layers,
+                                          message):
+        with pytest.raises(ValueError, match=message):
+            nn.ArchitectureDescriptor(input_shape=input_shape,
+                                      layers=layers, num_classes=3)
+
+
+def ref_init_params(arch, seed):
+    """Frozen copy of the original per-kind Glorot-uniform init."""
+    rng = np.random.default_rng(seed)
+    params = []
+    for layer, (in_dim, *_) in zip(arch.layers, arch.layer_shapes()):
+        if layer[0] == "conv":
+            w_shape, b_shape = (layer[1], in_dim, 3, 3), (layer[1],)
+            fan_in, fan_out = w_shape[1] * 9, w_shape[0] * 9
+        elif layer[0] in ("dense_relu", "dense"):
+            w_shape, b_shape = (in_dim, layer[1]), (layer[1],)
+            fan_in, fan_out = w_shape
+        else:
+            params.append(None)
+            continue
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w = rng.uniform(-limit, limit, w_shape)
+        params.append({"W": w.astype(np.float32),
+                       "b": np.zeros(b_shape, dtype=np.float32)})
+    return params
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("make_arch", [tiny_arch, nn.default_architecture],
+                         ids=["tiny", "default"])
+def test_init_params_matches_reference(make_arch, seed):
+    arch = make_arch()
+    got, want = nn.init_params(arch, seed), ref_init_params(arch, seed)
+    assert [p is None for p in got] == [p is None for p in want]
+    for g, w in zip(got, want):
+        if w is not None:
+            assert list(g) == list(w)
+            for name in w:
+                assert_same_bits(g[name], w[name])
+
 
 # ---------------------------------------------------------------------------
 # layer kernels against frozen copies of the original im2col/argmax kernels
