@@ -124,6 +124,8 @@ def _check_types(value, like, name):
 
 
 def validate_config(cfg):
+    """Check cfg by building what the commands build from it, so each
+    rule lives once, in the code that consumes the value."""
     _check_types(cfg, _SCHEMA, "")
     ds = cfg["dataset"]
     if ds["type"] not in ("synthetic", "cifar10"):
@@ -132,32 +134,23 @@ def validate_config(cfg):
         path = resolve_dataset_path(ds)
         if not os.path.isdir(path):
             raise ConfigError(f"CIFAR-10 directory not found: {path}")
-    for section, key in (("fed", "num_clients"), ("fed", "rounds"),
-                         ("eval", "members_per_client"),
-                         ("eval", "total_nonmembers")):
-        value = cfg[section][key]
-        if value < 0:
-            raise ConfigError(f"{section}.{key} must be a non-negative "
-                              f"integer, got {value!r}")
-    steps = cfg["erosion"]["steps"]
-    if steps < 1:
-        raise ConfigError(f"erosion.steps must be >= 1, got {steps}")
-    # CIFAR-10 images are 3x32x32 whatever dataset.dims says
-    dims = ds["dims"] if ds["type"] == "synthetic" else [3, 32, 32]
+    # CIFAR-10 images are 3x32x32 in 10 classes whatever the config says
+    dims, classes = ((ds["dims"], ds["classes"]) if ds["type"] == "synthetic"
+                     else ([3, 32, 32], 10))
     if len(dims) != 3:
         raise ConfigError(f"dataset.dims must be [channels, height, "
                           f"width], got {dims}")
-    try:
-        fed_config(cfg)
-        ero = erosion_config(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    # pool_factor >= 2, so past 64 steps the power divides no image size
-    total = ero.pool_factor ** min(ero.steps, 65)
-    if dims[1] % total or dims[2] % total:
-        raise ConfigError(
-            f"erosion pool_factor**steps = {ero.pool_factor}**{ero.steps} "
-            f"does not divide the image dims {dims[1]}x{dims[2]}")
+    builds = {"fed": lambda: fed_config(cfg),
+              "eval": lambda: data.check_eval_counts(
+                  cfg["fed"]["num_clients"], **cfg["eval"]),
+              "erosion": lambda: erosion_config(cfg).check_image(*dims[1:]),
+              "arch": lambda: nn.default_architecture(dims, classes,
+                                                      **cfg["arch"])}
+    for section, build in builds.items():
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from exc
 
 
 def resolve_dataset_path(ds):
@@ -177,17 +170,6 @@ def config_hash(cfg) -> str:
 
 def output_metadata(cfg):
     return {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
-
-
-def build_architecture(cfg, num_classes, dims):
-    layers = []
-    for ch in cfg["arch"]["conv_channels"]:
-        layers += [("conv", ch), ("maxpool",)]
-    layers += [("flatten",), ("dense_relu", cfg["arch"]["dense_width"]),
-               ("dense", num_classes)]
-    return nn.ArchitectureDescriptor(input_shape=tuple(dims),
-                                     layers=tuple(layers),
-                                     num_classes=num_classes)
 
 
 def build_datasets(cfg):
@@ -213,6 +195,8 @@ def build_datasets(cfg):
 
 def erosion_config(cfg, mode=None):
     ero = cfg["erosion"]
+    if ero["steps"] < 1:
+        raise ValueError(f"steps must be >= 1, got {ero['steps']}")
     return ErosionConfig(steps=ero["steps"], pool_factor=ero["pool_factor"],
                          upsample_mode=mode or ero["upsample_mode"])
 
@@ -234,7 +218,8 @@ def cmd_train(cfg, workers=1):
     out_dir = cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     train, test = build_datasets(cfg)
-    arch = build_architecture(cfg, train.num_classes, train.images.shape[1:])
+    arch = nn.default_architecture(train.images.shape[1:], train.num_classes,
+                                   **cfg["arch"])
     params, log = federated.run_federated_training(
         train, arch, fed_config(cfg), test_set=test, workers=workers)
     model = nn.Model(arch=arch, params=params, seed=cfg["seed"])
@@ -424,19 +409,20 @@ def build_parser():
         p.add_argument("--workers", type=int, default=1,
                        help="parallel workers (numerics are identical "
                             "for any value)")
-        p.add_argument("--erosion-steps", type=int,
-                       help="erosion step count override")
-        p.add_argument("--upsample", choices=["nearest", "bilinear"],
-                       help="upsampling mode override")
         if checkpoint:
             p.add_argument("--checkpoint", required=True,
                            help="model checkpoint from the train command")
+            p.add_argument("--erosion-steps", type=int,
+                           help="erosion step count override")
+        return p
 
     common(sub.add_parser(
         "train", help="run federated training, write checkpoint and log"))
-    common(sub.add_parser(
+    attack = common(sub.add_parser(
         "attack", help="score the eval set with all attacks"),
         checkpoint=True)
+    attack.add_argument("--upsample", choices=["nearest", "bilinear"],
+                        help="upsampling mode override")
     common(sub.add_parser(
         "ablate", help="compare nearest vs bilinear upsampling"),
         checkpoint=True)

@@ -213,15 +213,25 @@ def subset_per_class(dataset, per_class, seed):
     return dataset.subset(chosen)
 
 
+def check_eval_counts(num_clients, members_per_client, total_nonmembers):
+    """Raise unless the eval set has members and is balanced: each
+    client gives members_per_client >= 1 members, and their total equals
+    total_nonmembers."""
+    if members_per_client < 1:
+        raise ValueError(
+            f"members_per_client must be >= 1, got {members_per_client}")
+    if members_per_client * num_clients != total_nonmembers:
+        raise ValueError(
+            f"total_nonmembers must be {num_clients} clients x "
+            f"{members_per_client} members, got {total_nonmembers}; "
+            f"eval set must be balanced")
+
+
 def build_eval_set(shards, test_set, members_per_client, total_nonmembers,
                    seed):
     """Client-balanced members vs held-out non-members, deterministic
-    under the seed.  Member count = len(shards) * members_per_client and
-    must equal total_nonmembers."""
-    if members_per_client * len(shards) != total_nonmembers:
-        raise ValueError(
-            f"{len(shards)} clients x {members_per_client} members != "
-            f"{total_nonmembers} non-members; eval set must be balanced")
+    under the seed; see check_eval_counts for the counts it accepts."""
+    check_eval_counts(len(shards), members_per_client, total_nonmembers)
     if len(test_set) < total_nonmembers:
         raise ValueError(
             f"test split has {len(test_set)} samples, need "

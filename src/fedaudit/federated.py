@@ -24,14 +24,11 @@ class FedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be >= 1")
-        if min(self.rounds, self.local_epochs) < 0:
-            raise ValueError("rounds/local_epochs must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        for name, low in (("num_clients", 1), ("rounds", 0),
+                          ("local_epochs", 0), ("batch_size", 1), ("lr", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 @dataclass

@@ -73,6 +73,8 @@ class ArchitectureDescriptor:
             cur = shapes[-1]
             if kind in ("conv", "maxpool") and len(cur) != 3:
                 raise ValueError(f"{kind} layer needs a (C, H, W) input")
+            if kind in ("conv", "dense_relu", "dense") and layer[1] < 1:
+                raise ValueError(f"{kind} width must be >= 1, got {layer[1]}")
             if kind == "conv":
                 c, h, w = cur
                 shapes.append((layer[1], h, w))
@@ -92,12 +94,17 @@ class ArchitectureDescriptor:
         return shapes
 
 
-def default_architecture(input_shape=(3, 32, 32), num_classes=10):
-    """Small CNN that trains from scratch in minutes yet overfits readily."""
+def default_architecture(input_shape=(3, 32, 32), num_classes=10,
+                         conv_channels=(8, 16), dense_width=64):
+    """Small CNN that trains from scratch in minutes yet overfits readily:
+    a conv + maxpool pair per entry of conv_channels, then a dense_relu
+    of dense_width and the num_classes output layer."""
+    convs = tuple(layer for ch in conv_channels
+                  for layer in (("conv", ch), ("maxpool",)))
     return ArchitectureDescriptor(
         input_shape=tuple(input_shape),
-        layers=(("conv", 8), ("maxpool",), ("conv", 16), ("maxpool",),
-                ("flatten",), ("dense_relu", 64), ("dense", num_classes)),
+        layers=convs + (("flatten",), ("dense_relu", dense_width),
+                        ("dense", num_classes)),
         num_classes=num_classes)
 
 

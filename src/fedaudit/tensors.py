@@ -36,6 +36,16 @@ class ErosionConfig:
                 f"upsample_mode must be one of {UPSAMPLE_MODES}, "
                 f"got {self.upsample_mode!r}")
 
+    def check_image(self, h, w):
+        """Raise unless pool_factor**steps divides both image dims, so
+        every level of erosion_sequence pools cleanly."""
+        # pool_factor >= 2, so past 64 steps the power divides no image size
+        total = self.pool_factor ** min(self.steps, 65)
+        if h % total or w % total:
+            raise ErosionConfigError(
+                f"pool_factor**steps = {self.pool_factor}**{self.steps} "
+                f"does not divide the image dims {h}x{w}")
+
 
 def avg_pool(img: np.ndarray, factor: int) -> np.ndarray:
     """Non-overlapping average pooling with a factor x factor kernel.
@@ -110,14 +120,9 @@ def erosion_sequence(img: np.ndarray, cfg: ErosionConfig) -> list[np.ndarray]:
     last element of a full collapse is the per-channel mean image.
 
     Requires pool_factor**steps to divide both spatial dims (full
-    collapse to 1x1 included), so every level pools cleanly.
+    collapse to 1x1 included); see ErosionConfig.check_image.
     """
-    _, h, w = img.shape
-    total = cfg.pool_factor ** cfg.steps
-    if total > min(h, w) or h % total != 0 or w % total != 0:
-        raise ErosionConfigError(
-            f"pool_factor**steps = {total} incompatible with "
-            f"image dims {h}x{w}")
+    cfg.check_image(*img.shape[1:])
     seq = [img]
     pooled = img
     for k in range(1, cfg.steps + 1):

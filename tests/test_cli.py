@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from fedaudit import cli
+from fedaudit import cli, nn
 
 
 SMALL_CONFIG = {
@@ -182,10 +182,25 @@ class TestOverridesAndErrors:
         ({"dataset": {"dims": [3, 16]}}, "dataset.dims must be"),
         ({"arch": {"conv_channels": [4, "8"]}},
          "arch.conv_channels[1] must be an integer"),
+        # 2 clients x 3 members != 8 non-members
+        ({"eval": {"members_per_client": 3}},
+         "eval.total_nonmembers must be 2 clients x 3 members, got 8"),
+        ({"eval": {"members_per_client": 0, "total_nonmembers": 0}},
+         "eval.members_per_client must be >= 1, got 0"),
+        ({"arch": {"conv_channels": [0, 16]}},
+         "arch.conv width must be >= 1, got 0"),
+        ({"arch": {"dense_width": -3}},
+         "arch.dense_relu width must be >= 1, got -3"),
+        # erosion fits 20x20, but the third maxpool meets 5x5
+        ({"dataset": {"dims": [3, 20, 20]},
+          "arch": {"conv_channels": [8, 16, 32]}},
+         "arch.maxpool2 on odd dims 5x5"),
     ], ids=["rounds", "lr", "pool_factor", "steps_zero", "steps_too_many",
             "huge_steps", "seed_bool", "batch_size_bool", "lr_bool",
             "unknown_key", "unknown_section", "dims_length",
-            "channel_type"])
+            "channel_type", "eval_unbalanced", "eval_empty",
+            "arch_zero_channels", "arch_negative_width",
+            "arch_odd_maxpool"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, extra,
                                       fragment):
         cfg = write_config(tmp_path, extra)
@@ -208,6 +223,19 @@ class TestOverridesAndErrors:
             argv += ["--checkpoint", str(tmp_path / "missing.ckpt")]
         assert cli.main(argv) == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--erosion-steps"), ("train", "--upsample"),
+        ("ablate", "--upsample")])
+    def test_flag_not_read_by_command_rejected(self, tmp_path, capsys,
+                                               command, flag):
+        argv = [command, "--config", write_config(tmp_path), flag, "2"]
+        if command != "train":
+            argv += ["--checkpoint", str(tmp_path / "missing.ckpt")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_dataset_path_key_accepted(self, tmp_path):
         cfg = cli.load_config(write_config(
@@ -250,3 +278,32 @@ class TestOverridesAndErrors:
                        "--out", out, "--checkpoint", ckpt])
         assert rc == 1
         assert message in capsys.readouterr().err
+
+
+def ref_build_architecture(cfg, num_classes, dims):
+    """Frozen copy of the CLI's former layer-pattern builder."""
+    layers = []
+    for ch in cfg["arch"]["conv_channels"]:
+        layers += [("conv", ch), ("maxpool",)]
+    layers += [("flatten",), ("dense_relu", cfg["arch"]["dense_width"]),
+               ("dense", num_classes)]
+    return nn.ArchitectureDescriptor(input_shape=tuple(dims),
+                                     layers=tuple(layers),
+                                     num_classes=num_classes)
+
+
+@pytest.mark.parametrize("arch, dims, classes", [
+    (SMALL_CONFIG["arch"], SMALL_CONFIG["dataset"]["dims"],
+     SMALL_CONFIG["dataset"]["classes"]),
+    (cli.DEFAULT_CONFIG["arch"], cli.DEFAULT_CONFIG["dataset"]["dims"],
+     cli.DEFAULT_CONFIG["dataset"]["classes"]),
+    ({"conv_channels": [], "dense_width": 12}, [2, 6, 6], 3),
+], ids=["small", "default", "no_conv"])
+def test_default_architecture_matches_former_builder(arch, dims, classes):
+    expected = ref_build_architecture({"arch": arch}, classes, dims)
+    assert nn.default_architecture(dims, classes, **arch) == expected
+
+
+def test_default_architecture_without_arguments_is_default_config():
+    expected = ref_build_architecture(cli.DEFAULT_CONFIG, 10, (3, 32, 32))
+    assert nn.default_architecture() == expected

@@ -184,6 +184,10 @@ class TestEvalSet:
         with pytest.raises(ValueError):
             build_eval_set(self.shards, self.test, 4, 25, seed=1)
 
+    def test_empty_request_rejected(self):
+        with pytest.raises(ValueError, match="members_per_client must be"):
+            build_eval_set(self.shards, self.test, 0, 0, seed=1)
+
     def test_insufficient_member_pool_rejected(self):
         with pytest.raises(ValueError):
             build_eval_set(self.shards, self.test, 30, 150, seed=1)

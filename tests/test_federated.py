@@ -115,6 +115,18 @@ class TestAggregate:
             fedavg_aggregate([a, other], [1, 1])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("num_clients", 0, "num_clients must be >= 1, got 0"),
+    ("rounds", -1, "rounds must be >= 0, got -1"),
+    ("local_epochs", -1, "local_epochs must be >= 0, got -1"),
+    ("batch_size", 0, "batch_size must be >= 1, got 0"),
+    ("lr", -0.5, "lr must be >= 0, got -0.5"),
+])
+def test_fed_config_range_names_field(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FedConfig(**{field: value})
+
+
 class TestLocalTrain:
     def test_zero_epochs_returns_broadcast_params(self):
         ds = toy_dataset(20)

@@ -389,8 +389,12 @@ class TestArchitectureDescriptor:
         ((1, 2, 2), (("dense", 3),), "flat input"),
         ((1, 2, 2), (("flatten",), ("conv", 2), ("dense", 3)),
          r"conv layer needs a \(C, H, W\) input"),
+        ((1, 2, 2), (("conv", 0), ("flatten",), ("dense", 3)),
+         "conv width must be >= 1, got 0"),
+        ((1, 2, 2), (("flatten",), ("dense_relu", 0), ("dense", 3)),
+         "dense_relu width must be >= 1, got 0"),
     ], ids=["unknown_kind", "maxpool_odd_dims", "dense_on_image",
-            "conv_on_flat"])
+            "conv_on_flat", "conv_width_zero", "dense_width_zero"])
     def test_invalid_layer_chain_rejected(self, input_shape, layers,
                                           message):
         with pytest.raises(ValueError, match=message):

@@ -188,10 +188,14 @@ class TestErosionSequence:
             blocks = seq[k].reshape(3, 32 // size, size, 32 // size, size)
             assert np.abs(blocks - blocks[:, :, :1, :, :1]).max() < 1e-6
 
-    def test_oversized_config_rejected(self):
-        img = rand_img((3, 8, 8), 8)
-        with pytest.raises(ErosionConfigError):
-            erosion_sequence(img, ErosionConfig(4))
+    # 2**15000 has more digits than int-to-str conversion allows, so
+    # the error must not format the power itself
+    @pytest.mark.parametrize("size, steps", [(8, 4), (32, 15000)],
+                             ids=["steps_4_on_8x8", "steps_15000_on_32x32"])
+    def test_oversized_config_rejected(self, size, steps):
+        img = rand_img((3, size, size), 8)
+        with pytest.raises(ErosionConfigError, match="does not divide"):
+            erosion_sequence(img, ErosionConfig(steps))
 
     def test_all_dims_preserved(self):
         img = rand_img((3, 16, 16), 9)
