@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import read_csv, write_csv
+from .nn import single_blas_thread
 from .tensors import ErosionConfig, erosion_sequence
 
 ATTACK_NAMES = ("resmia", "loss", "entropy")
@@ -156,13 +157,15 @@ def evaluate_attacks(model, samples, cfg: ErosionConfig, workers=1):
 
     Records come back ordered by (is_member desc, sample_id) regardless
     of worker count; scoring is a pure function of the model outputs, so
-    parallel execution changes nothing numerically.
+    parallel execution (one BLAS thread per worker) changes nothing
+    numerically.
     """
     members = sum(1 for s in samples if s.is_member)
     if members == 0 or members == len(samples):
         raise ValueError("eval set needs both members and non-members")
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with single_blas_thread(), \
+                ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(
                 lambda s: _score_sample(model, s, cfg), samples))
     else:

@@ -128,24 +128,26 @@ def validate_config(cfg):
     rule lives once, in the code that consumes the value."""
     _check_types(cfg, _SCHEMA, "")
     ds = cfg["dataset"]
-    if ds["type"] not in ("synthetic", "cifar10"):
-        raise ConfigError(f"unknown dataset type {ds['type']!r}")
-    if ds["type"] == "cifar10":
+    builds = {}
+    if ds["type"] == "synthetic":
+        dims, classes = ds["dims"], ds["classes"]
+        builds["dataset"] = lambda: data.check_synthetic(
+            classes, dims, ds["template_strength"])
+    elif ds["type"] == "cifar10":
         path = resolve_dataset_path(ds)
         if not os.path.isdir(path):
             raise ConfigError(f"CIFAR-10 directory not found: {path}")
-    # CIFAR-10 images are 3x32x32 in 10 classes whatever the config says
-    dims, classes = ((ds["dims"], ds["classes"]) if ds["type"] == "synthetic"
-                     else ([3, 32, 32], 10))
-    if len(dims) != 3:
-        raise ConfigError(f"dataset.dims must be [channels, height, "
-                          f"width], got {dims}")
-    builds = {"fed": lambda: fed_config(cfg),
-              "eval": lambda: data.check_eval_counts(
-                  cfg["fed"]["num_clients"], **cfg["eval"]),
-              "erosion": lambda: erosion_config(cfg).check_image(*dims[1:]),
-              "arch": lambda: nn.default_architecture(dims, classes,
-                                                      **cfg["arch"])}
+        # CIFAR-10 images are 3x32x32 in 10 classes whatever the config says
+        dims, classes = [3, 32, 32], 10
+    else:
+        raise ConfigError(f"unknown dataset type {ds['type']!r}")
+    builds.update({
+        "fed": lambda: fed_config(cfg),
+        "eval": lambda: data.check_eval_counts(
+            cfg["fed"]["num_clients"], **cfg["eval"]),
+        "erosion": lambda: erosion_config(cfg).check_image(*dims[1:]),
+        "arch": lambda: nn.default_architecture(dims, classes,
+                                                **cfg["arch"])})
     for section, build in builds.items():
         try:
             build()

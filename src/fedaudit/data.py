@@ -104,6 +104,27 @@ def write_cifar_batch(path, images, labels):
             fh.write(img.tobytes())
 
 
+def check_synthetic(classes, dims, template_strength):
+    """Raise unless generate_synthetic can build from these: at least 2
+    classes, dims [C, H, W] with C >= 1 and even H, W >= 2, and a
+    [low, high] template_strength."""
+    if classes < 2:
+        raise ValueError(f"classes must be >= 2, got {classes}")
+    if len(dims) != 3:
+        raise ValueError(
+            f"dims must be [channels, height, width], got {list(dims)}")
+    c, h, w = dims
+    if c < 1 or h < 2 or w < 2:
+        raise ValueError(
+            f"dims need >= 1 channel and sides >= 2, got {list(dims)}")
+    if h % 2 or w % 2:
+        raise ValueError(
+            f"dims height and width must be even, got {list(dims)}")
+    if len(template_strength) != 2:
+        raise ValueError(f"template_strength must be [low, high], "
+                         f"got {list(template_strength)}")
+
+
 def generate_synthetic(classes, per_class, dims=(3, 32, 32), seed=0,
                        noise_amp=0.25, template_strength=(1.0, 1.0),
                        stream=0, id_base=0, split="synthetic",
@@ -134,13 +155,8 @@ def generate_synthetic(classes, per_class, dims=(3, 32, 32), seed=0,
     templates and pattern bank, which is how a held-out pool from the
     same distribution is produced.
     """
-    if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
+    check_synthetic(classes, dims, template_strength)
     c, h, w = dims
-    if c < 1 or h < 2 or w < 2:
-        raise ValueError(f"invalid dims {dims}")
-    if h % 2 or w % 2:
-        raise ValueError(f"height and width must be even, got {dims}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13, stream]))
     templates = class_templates(classes, dims, seed)
     bank = noise_pattern_bank(pattern_bank, dims, seed)

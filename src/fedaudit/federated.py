@@ -116,8 +116,9 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
     """Full FedAvg loop; returns (global params, per-round log rows).
 
     Log rows: dicts with round, train_acc, test_acc, mean_client_loss.
-    Client training fans out across threads when workers > 1; numerics
-    are identical for any worker count because clients are independent.
+    Client training fans out across threads when workers > 1, each
+    with one BLAS thread; numerics are identical for any worker count
+    because clients are independent.
     """
     shards = partition(dataset, cfg.num_clients, cfg.seed)
     sizes = [len(s.labels) for s in shards]
@@ -127,7 +128,8 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
         def fit(shard, rnd=rnd, params=params):
             return local_train(params, arch, shard, cfg, round_idx=rnd)
         if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            with nn.single_blas_thread(), \
+                    ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(fit, shards))
         else:
             results = [fit(shard) for shard in shards]

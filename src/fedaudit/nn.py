@@ -16,9 +16,14 @@ The :class:`Model` facade is the only surface attacks are allowed to use:
 it answers image -> class-probability queries and counts them.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
 import itertools
 import json
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -323,6 +328,57 @@ def sgd_step(params, grads, lr):
             {name: (arr - lr * g[name]).astype(arr.dtype)
              for name, arr in p.items()}
             for p, g in zip(params, grads)]
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+
+@functools.cache
+def _blas_thread_api():
+    """(get, set) for the thread count of numpy's bundled scipy-openblas,
+    or None on any other BLAS build.
+
+    Looked up once, as threadpoolctl does: the numpy wheel ships the
+    library under numpy.libs, and RTLD_NOLOAD only accepts the copy numpy
+    has already loaded.
+    """
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs,
+                                              "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread():
+    """Run the block with one BLAS thread, then restore the caller's count.
+
+    For thread fan-outs whose threads each run their own GEMMs: BLAS
+    threads on top of them oversubscribe the cores.  The GEMM results
+    do not depend on the thread count.  The count is process-wide, so
+    blocks entered from different threads must nest, not interleave.
+    Does nothing where _blas_thread_api finds no scipy-openblas.
+    """
+    api = _blas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 # ---------------------------------------------------------------------------

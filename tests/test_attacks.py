@@ -191,15 +191,35 @@ class TestEvaluateAttacks:
         arch = nn.default_architecture(input_shape=(1, 8, 8),
                                        num_classes=3)
         samples = self.make_samples()
+        api = nn._blas_thread_api()
+        blas_threads = api[0] if api else lambda: None
+        before = blas_threads()
+        seen = {}  # workers -> BLAS thread counts seen by the queries
 
         def run(workers):
             model = nn.Model(arch=arch, params=nn.init_params(arch, 0))
+            query = model.query
+
+            def counted_query(img):
+                seen.setdefault(workers, set()).add(blas_threads())
+                return query(img)
+
+            model.query = counted_query
             return evaluate_attacks(model, samples, ErosionConfig(3),
                                     workers=workers)
 
-        a, b = run(1), run(4)
-        assert [r.scores for r in a] == [r.scores for r in b]
-        assert [r.sample_id for r in a] == [r.sample_id for r in b]
+        def bits(records):
+            return [(r.sample_id, r.client_id, r.is_member, r.queries_resmia,
+                     {k: np.float64(v).tobytes()
+                      for k, v in r.scores.items()})
+                    for r in records]
+
+        a = run(1)
+        for workers in (2, 4):
+            assert bits(run(workers)) == bits(a)
+        assert blas_threads() == before
+        if api:
+            assert seen == {1: {before}, 2: {1}, 4: {1}}
 
     def test_single_class_rejected(self):
         members_only = [s for s in self.make_samples() if s.is_member]

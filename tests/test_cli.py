@@ -195,12 +195,20 @@ class TestOverridesAndErrors:
         ({"dataset": {"dims": [3, 20, 20]},
           "arch": {"conv_channels": [8, 16, 32]}},
          "arch.maxpool2 on odd dims 5x5"),
+        ({"dataset": {"template_strength": [0.1]}},
+         "dataset.template_strength must be [low, high], got [0.1]"),
+        ({"dataset": {"classes": 1}}, "dataset.classes must be >= 2, got 1"),
+        ({"dataset": {"dims": [0, 32, 32]}},
+         "dataset.dims need >= 1 channel and sides >= 2, got [0, 32, 32]"),
+        ({"dataset": {"dims": [3, -16, -16]}},
+         "dataset.dims need >= 1 channel and sides >= 2, got [3, -16, -16]"),
     ], ids=["rounds", "lr", "pool_factor", "steps_zero", "steps_too_many",
             "huge_steps", "seed_bool", "batch_size_bool", "lr_bool",
             "unknown_key", "unknown_section", "dims_length",
             "channel_type", "eval_unbalanced", "eval_empty",
             "arch_zero_channels", "arch_negative_width",
-            "arch_odd_maxpool"])
+            "arch_odd_maxpool", "template_strength_length", "one_class",
+            "dims_zero_channels", "dims_negative_sides"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, extra,
                                       fragment):
         cfg = write_config(tmp_path, extra)

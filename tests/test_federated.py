@@ -237,3 +237,76 @@ class TestRunFederatedTraining:
             assert 0.0 <= row["train_acc"] <= 1.0
             assert 0.0 <= row["test_acc"] <= 1.0
             assert np.isfinite(row["mean_client_loss"])
+
+
+@pytest.fixture
+def blas_threads():
+    """Reads the BLAS thread count, which is 2 for the test."""
+    api = nn._blas_thread_api()
+    if api is None:
+        pytest.skip("no scipy-openblas thread-count symbols in this numpy")
+    get, set_ = api
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def count_blas_threads_in_local_train(monkeypatch, get):
+    """Record the BLAS thread count at every local_train call."""
+    seen = []
+    real = federated.local_train
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(federated, "local_train", spy)
+    return seen
+
+
+def train_params(workers):
+    cfg = FedConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=8,
+                    seed=8)
+    params, _ = federated.run_federated_training(
+        toy_dataset(30), toy_arch(), cfg, workers=workers)
+    return [None if p is None else {k: a.tobytes() for k, a in p.items()}
+            for p in params]
+
+
+class TestSingleBlasThread:
+    def test_restores_count_after_block(self, blas_threads):
+        with nn.single_blas_thread():
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_restores_count_after_exception(self, blas_threads):
+        with pytest.raises(RuntimeError, match="inside the block"):
+            with nn.single_blas_thread():
+                raise RuntimeError("inside the block")
+        assert blas_threads() == 2
+
+    def test_nested_use_restores_outer_count(self, blas_threads):
+        with nn.single_blas_thread():
+            with nn.single_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("workers, in_client", [(1, 2), (2, 1)])
+    def test_client_fan_out_runs_one_blas_thread(
+            self, blas_threads, monkeypatch, workers, in_client):
+        seen = count_blas_threads_in_local_train(monkeypatch, blas_threads)
+        train_params(workers)
+        # 3 clients x 2 rounds; 1 worker keeps the caller's count
+        assert seen == [in_client] * 6
+        assert blas_threads() == 2
+
+    def test_missing_blas_api_is_a_no_op(self, blas_threads, monkeypatch):
+        monkeypatch.setattr(nn, "_blas_thread_api", lambda: None)
+        with nn.single_blas_thread():
+            assert blas_threads() == 2
+        serial = train_params(1)
+        seen = count_blas_threads_in_local_train(monkeypatch, blas_threads)
+        assert train_params(2) == serial
+        assert seen == [2] * 6
