@@ -11,13 +11,12 @@ No gradients and no parameter access anywhere: everything goes through
 ``model.query``.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metrics import read_csv, write_csv
-from .nn import single_blas_thread
+from .nn import map_workers
 from .tensors import ErosionConfig, erosion_sequence
 
 ATTACK_NAMES = ("resmia", "loss", "entropy")
@@ -163,13 +162,8 @@ def evaluate_attacks(model, samples, cfg: ErosionConfig, workers=1):
     members = sum(1 for s in samples if s.is_member)
     if members == 0 or members == len(samples):
         raise ValueError("eval set needs both members and non-members")
-    if workers > 1:
-        with single_blas_thread(), \
-                ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda s: _score_sample(model, s, cfg), samples))
-    else:
-        records = [_score_sample(model, s, cfg) for s in samples]
+    records = map_workers(lambda s: _score_sample(model, s, cfg), samples,
+                          workers)
     records.sort(key=lambda r: (not r.is_member, r.sample_id))
     return records
 

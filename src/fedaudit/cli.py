@@ -170,6 +170,14 @@ def config_hash(cfg) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def training_record(cfg):
+    """What a checkpoint was trained on: the sections that fix its data,
+    shards and model.  dataset.path, like out_dir, is a location only."""
+    dataset = {k: v for k, v in cfg["dataset"].items() if k != "path"}
+    return {"arch": cfg["arch"], "dataset": dataset, "fed": cfg["fed"],
+            "seed": cfg["seed"]}
+
+
 def output_metadata(cfg):
     return {"config_hash": config_hash(cfg), "seed": cfg["seed"]}
 
@@ -224,7 +232,8 @@ def cmd_train(cfg, workers=1):
                                    **cfg["arch"])
     params, log = federated.run_federated_training(
         train, arch, fed_config(cfg), test_set=test, workers=workers)
-    model = nn.Model(arch=arch, params=params, seed=cfg["seed"])
+    model = nn.Model(arch=arch, params=params,
+                     trained_on=training_record(cfg))
     ckpt_path = os.path.join(out_dir, "model.ckpt")
     nn.save_checkpoint(ckpt_path, model)
 
@@ -244,15 +253,15 @@ def cmd_train(cfg, workers=1):
 
 
 def _eval_samples(cfg, model):
-    if model.seed != cfg["seed"]:
-        # the seed fixes the shards, so another seed mislabels membership
-        raise ValueError(f"checkpoint was trained with seed {model.seed}, "
-                         f"config seed is {cfg['seed']}")
+    # the record fixes the shards, so any other one mislabels membership
+    want = training_record(cfg)
+    for key in sorted(want.keys() | model.trained_on.keys()):
+        got, need = model.trained_on.get(key), want.get(key)
+        if got != need:
+            got, need = (json.dumps(v, sort_keys=True) for v in (got, need))
+            raise ValueError(f"checkpoint was trained with {key} {got}, "
+                             f"config {key} is {need}")
     train, test = build_datasets(cfg)
-    if tuple(model.arch.input_shape) != tuple(train.images.shape[1:]):
-        raise ValueError(
-            f"checkpoint input shape {model.arch.input_shape} does not "
-            f"match dataset dims {train.images.shape[1:]}")
     shards = federated.partition(train, cfg["fed"]["num_clients"],
                                  cfg["seed"])
     eval_set = data.build_eval_set(shards, test,
@@ -286,9 +295,9 @@ def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
 
 def cmd_attack(cfg, checkpoint, workers=1):
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     model = nn.load_checkpoint(checkpoint)
     samples = _eval_samples(cfg, model)
+    os.makedirs(out_dir, exist_ok=True)
     ero_cfg = erosion_config(cfg)
     records = attacks.evaluate_attacks(model, samples, ero_cfg,
                                        workers=workers)
@@ -316,9 +325,9 @@ def cmd_attack(cfg, checkpoint, workers=1):
 
 def cmd_ablate(cfg, checkpoint, workers=1):
     out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     model = nn.load_checkpoint(checkpoint)
     samples = _eval_samples(cfg, model)
+    os.makedirs(out_dir, exist_ok=True)
     rows = []
     for mode in ("nearest", "bilinear"):
         records = attacks.evaluate_attacks(

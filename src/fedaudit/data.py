@@ -7,7 +7,7 @@ generator used for fast tests.  Pixels are scaled by exactly 1/255 into
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class EvalSet:
 
     members: list             # (sample_id, client_id) pairs
     non_members: list         # sample ids from the held-out split
-    class_counts: dict = field(default_factory=dict)
 
 
 def _parse_cifar_file(path):
@@ -254,7 +253,6 @@ def build_eval_set(shards, test_set, members_per_client, total_nonmembers,
             f"{total_nonmembers} non-members")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     members = []
-    class_counts = {"members": {}, "non_members": {}}
     for shard in shards:
         if len(shard.sample_ids) < members_per_client:
             raise ValueError(
@@ -264,14 +262,6 @@ def build_eval_set(shards, test_set, members_per_client, total_nonmembers,
                            replace=False)
         for i in sorted(picks):
             members.append((int(shard.sample_ids[i]), shard.client_id))
-            lab = int(shard.labels[i])
-            class_counts["members"][lab] = \
-                class_counts["members"].get(lab, 0) + 1
     picks = rng.choice(len(test_set), total_nonmembers, replace=False)
     non_members = [int(test_set.ids[i]) for i in sorted(picks)]
-    for i in sorted(picks):
-        lab = int(test_set.labels[i])
-        class_counts["non_members"][lab] = \
-            class_counts["non_members"].get(lab, 0) + 1
-    return EvalSet(members=members, non_members=non_members,
-                   class_counts=class_counts)
+    return EvalSet(members=members, non_members=non_members)

@@ -6,7 +6,6 @@ One master seed deterministically derives every per-(round, client)
 shuffling seed, so a whole run is reproducible bit for bit.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,12 +126,7 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
     for rnd in range(cfg.rounds):
         def fit(shard, rnd=rnd, params=params):
             return local_train(params, arch, shard, cfg, round_idx=rnd)
-        if workers > 1:
-            with nn.single_blas_thread(), \
-                    ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(fit, shards))
-        else:
-            results = [fit(shard) for shard in shards]
+        results = nn.map_workers(fit, shards, workers)
         params = fedavg_aggregate([r[0] for r in results], sizes)
         row = {
             "round": rnd + 1,

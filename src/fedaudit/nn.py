@@ -20,16 +20,16 @@ import contextlib
 import ctypes
 import functools
 import glob
-import itertools
 import json
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-CHECKPOINT_MAGIC = b"FEDAUDIT-CKPT v1\n"
+CHECKPOINT_MAGIC = b"FEDAUDIT-CKPT v2\n"
 
 # layer kinds whose output goes through a ReLU
 _RELU = ("conv", "dense_relu")
@@ -73,6 +73,8 @@ class ArchitectureDescriptor:
     def layer_shapes(self):
         """Output shape after each layer, starting from input_shape."""
         shapes = [tuple(self.input_shape)]
+        if min(shapes[0], default=1) < 1:
+            raise ValueError(f"input dims must be >= 1, got {shapes[0]}")
         for layer in self.layers:
             kind = layer[0]
             cur = shapes[-1]
@@ -381,6 +383,16 @@ def single_blas_thread():
         set_(before)
 
 
+def map_workers(fn, items, workers):
+    """[fn(item) for item in items]: inline with the caller's BLAS threads
+    when workers is 1, else on a pool of `workers` threads with one BLAS
+    thread, so the results are the same for any worker count."""
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with single_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, items))
+
+
 # ---------------------------------------------------------------------------
 # black-box facade
 
@@ -391,11 +403,13 @@ class Model:
 
     Every query() bumps the counter under a lock, so the query budget of
     an attack can be asserted exactly even with parallel callers.
+    trained_on is the caller's record of what the model was trained on;
+    checkpoints carry it and nothing here reads it.
     """
 
     arch: ArchitectureDescriptor
     params: list
-    seed: int = 0
+    trained_on: dict = field(default_factory=dict)
     _query_count: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock,
                                   repr=False, compare=False)
@@ -411,8 +425,11 @@ class Model:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint container: magic line, JSON header line, raw little-endian
-# array bytes in header order.  Deterministic byte-for-byte.
+# checkpoint container: magic line, JSON header line {arch, trained_on},
+# then every array as little-endian float32 in _param_shapes(arch) order.
+# Deterministic byte-for-byte.
+
+_DTYPE = np.dtype("<f4")
 
 
 def save_checkpoint(path, model: Model):
@@ -422,72 +439,53 @@ def save_checkpoint(path, model: Model):
             "layers": [list(layer) for layer in model.arch.layers],
             "num_classes": model.arch.num_classes,
         },
-        "seed": model.seed,
-        "query_count": model.query_count,
-        "arrays": [],
+        "trained_on": model.trained_on,
     }
-    blobs = []
-    for i, p in enumerate(model.params):
-        if p is None:
-            continue
-        for name in ("W", "b"):
-            arr = np.ascontiguousarray(p[name])
-            header["arrays"].append({
-                "layer": i, "name": name,
-                "shape": list(arr.shape),
-                "dtype": arr.dtype.str,  # includes byte order
-            })
-            blobs.append(arr.tobytes())
+    arrays = [p[name] for p in model.params if p is not None
+              for name in ("W", "b")]
+    for arr in arrays:
+        if arr.dtype != _DTYPE:
+            raise CheckpointError(
+                f"checkpoints hold float32 arrays, got {arr.dtype}")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint; CheckpointError unless the file holds exactly
     the arrays its architecture needs, and nothing after them."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        try:
-            header = json.loads(fh.readline())
-            arch = ArchitectureDescriptor(
-                input_shape=tuple(header["arch"]["input_shape"]),
-                layers=tuple(tuple(layer)
-                             for layer in header["arch"]["layers"]),
-                num_classes=header["arch"]["num_classes"])
-            seed, query_count = header["seed"], header["query_count"]
-            specs = [(spec["layer"], spec["name"], tuple(spec["shape"]),
-                      np.dtype(spec["dtype"])) for spec in header["arrays"]]
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
-        param_shapes = _param_shapes(arch)
-        expected = [(i, name, shape)
-                    for i, shapes in enumerate(param_shapes)
-                    if shapes is not None
-                    for name, shape in zip(("W", "b"), shapes)]
-        for got, want in itertools.zip_longest(
-                [spec[:3] for spec in specs], expected):
-            if got != want:
-                raise CheckpointError(
-                    f"{path}: array (layer, name, shape) {got} where the "
-                    f"architecture needs {want}")
-        params = [None if shapes is None else {}
-                  for shapes in param_shapes]
-        for layer, name, shape, dtype in specs:
-            size = int(np.prod(shape)) * dtype.itemsize
-            raw = fh.read(size)
-            if len(raw) != size:
+        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a "
+                                  f"{CHECKPOINT_MAGIC.decode().strip()} file")
+        line, payload = fh.readline(), fh.read()
+    try:
+        header = json.loads(line)
+        arch = ArchitectureDescriptor(
+            input_shape=tuple(header["arch"]["input_shape"]),
+            layers=tuple(tuple(layer) for layer in header["arch"]["layers"]),
+            num_classes=header["arch"]["num_classes"])
+        trained_on = header["trained_on"]
+        if not isinstance(trained_on, dict):
+            raise TypeError(f"trained_on is {trained_on!r}, not an object")
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise CheckpointError(f"{path}: bad header: {exc!r}") from exc
+    params, offset = [], 0
+    for layer, shapes in enumerate(_param_shapes(arch)):
+        params.append(None if shapes is None else {})
+        for name, shape in zip(("W", "b"), shapes or ()):
+            count = math.prod(shape)
+            size = count * _DTYPE.itemsize
+            if len(payload) - offset < size:
                 raise CheckpointError(
                     f"{path}: truncated in layer {layer} {name}: "
-                    f"{len(raw)} of {size} bytes")
-            params[layer][name] = \
-                np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-        if fh.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the last "
-                                  f"array")
-    return Model(arch=arch, params=params, seed=seed,
-                 _query_count=query_count)
+                    f"{len(payload) - offset} of {size} bytes")
+            params[-1][name] = np.frombuffer(
+                payload, _DTYPE, count, offset).reshape(shape).copy()
+            offset += size
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: trailing bytes after the last array")
+    return Model(arch=arch, params=params, trained_on=trained_on)

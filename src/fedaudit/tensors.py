@@ -104,12 +104,6 @@ def _upsample_bilinear(img: np.ndarray, factor: int) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def erode_step(img: np.ndarray, cfg: ErosionConfig) -> np.ndarray:
-    """One erosion step: average-pool then upsample back to the input size."""
-    return upsample(avg_pool(img, cfg.pool_factor), cfg.pool_factor,
-                    cfg.upsample_mode)
-
-
 def erosion_sequence(img: np.ndarray, cfg: ErosionConfig) -> list[np.ndarray]:
     """The original image followed by K progressively eroded versions.
 

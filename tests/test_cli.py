@@ -57,6 +57,17 @@ def run_pipeline(tmp_path, out_name="run", config_extra=None,
     return cfg, out, ckpt
 
 
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A checkpoint trained on SMALL_CONFIG, shared by the tests that only
+    read it."""
+    tmp_path = tmp_path_factory.mktemp("small")
+    out = str(tmp_path / "run")
+    assert cli.main(["train", "--config", write_config(tmp_path),
+                     "--out", out]) == 0
+    return os.path.join(out, "model.ckpt")
+
+
 class TestPipeline:
     def test_train_writes_checkpoint_and_log(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -270,22 +281,39 @@ class TestOverridesAndErrors:
     def test_report_without_outputs_exits_1(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "empty")]) == 1
 
-    @pytest.mark.parametrize("other_config, message", [
-        ({"dataset": {"dims": [3, 8, 8]}}, "does not match dataset dims"),
-        ({"seed": 1}, "trained with seed 0, config seed is 1"),
-    ], ids=["dims", "seed"])
+    @pytest.mark.parametrize("other_config, fragments", [
+        ({"dataset": {"dims": [3, 8, 8]}},
+         ["trained with dataset", '"dims": [3, 16, 16]',
+          "config dataset is", '"dims": [3, 8, 8]']),
+        ({"seed": 1}, ["trained with seed 0, config seed is 1"]),
+        ({"fed": {"num_clients": 4}, "eval": {"members_per_client": 2}},
+         ["trained with fed", '"num_clients": 2', '"num_clients": 4']),
+        ({"dataset": {"noise_amp": 0.3}},
+         ["trained with dataset", '"noise_amp": 0.26',
+          '"noise_amp": 0.3']),
+    ], ids=["dims", "seed", "num_clients", "noise_amp"])
     @pytest.mark.parametrize("command", ["attack", "ablate"])
     def test_checkpoint_dataset_mismatch_exits_1(self, tmp_path, capsys,
-                                                 other_config, message,
+                                                 small_checkpoint,
+                                                 other_config, fragments,
                                                  command):
-        cfg, out, ckpt = run_pipeline(tmp_path)
         other = write_config(tmp_path, other_config)
-        os.rename(other, str(tmp_path / "other.json"))
+        out = tmp_path / "refused"
         capsys.readouterr()
-        rc = cli.main([command, "--config", str(tmp_path / "other.json"),
-                       "--out", out, "--checkpoint", ckpt])
+        rc = cli.main([command, "--config", other, "--out", str(out),
+                       "--checkpoint", small_checkpoint])
         assert rc == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for fragment in fragments:
+            assert fragment in err
+        assert not out.exists()
+
+    def test_checkpoint_accepted_from_another_dataset_path(
+            self, tmp_path, small_checkpoint):
+        other = write_config(tmp_path, {"dataset": {"path": "elsewhere"}})
+        assert cli.main(["attack", "--config", other,
+                         "--out", str(tmp_path / "run"),
+                         "--checkpoint", small_checkpoint]) == 0
 
 
 def ref_build_architecture(cfg, num_classes, dims):

@@ -175,11 +175,6 @@ class TestEvalSet:
         assert a.members == b.members
         assert a.non_members == b.non_members
 
-    def test_class_counts_reported(self):
-        es = build_eval_set(self.shards, self.test, 4, 20, seed=1)
-        assert sum(es.class_counts["members"].values()) == 20
-        assert sum(es.class_counts["non_members"].values()) == 20
-
     def test_unbalanced_request_rejected(self):
         with pytest.raises(ValueError):
             build_eval_set(self.shards, self.test, 4, 25, seed=1)

@@ -282,15 +282,16 @@ class TestCheckpoint:
     def test_round_trip_forward_bit_identical(self, tmp_path):
         arch = nn.default_architecture(input_shape=(3, 16, 16),
                                        num_classes=4)
-        model = nn.Model(arch=arch, params=nn.init_params(arch, 9), seed=9)
+        model = nn.Model(arch=arch, params=nn.init_params(arch, 9),
+                         trained_on={"seed": 9, "fed": {"lr": 0.08}})
         img = np.random.default_rng(9).random((3, 16, 16),
                                               dtype=np.float32)
         model.query(img)
         path = tmp_path / "model.ckpt"
         nn.save_checkpoint(path, model)
         loaded = nn.load_checkpoint(path)
-        assert loaded.seed == 9
-        assert loaded.query_count == 1
+        assert loaded.trained_on == {"seed": 9, "fed": {"lr": 0.08}}
+        assert loaded.query_count == 0  # a count of this process only
         assert loaded.arch == arch
         a = nn.forward(model.params, arch, img)
         b = nn.forward(loaded.params, loaded.arch, img)
@@ -298,7 +299,8 @@ class TestCheckpoint:
 
     def test_save_is_deterministic(self, tmp_path):
         arch = tiny_arch()
-        model = nn.Model(arch=arch, params=nn.init_params(arch, 1), seed=1)
+        model = nn.Model(arch=arch, params=nn.init_params(arch, 1),
+                         trained_on={"seed": 1})
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         nn.save_checkpoint(p1, model)
         nn.save_checkpoint(p2, model)
@@ -313,9 +315,19 @@ class TestCheckpoint:
     def saved(self, tmp_path):
         arch = nn.default_architecture(input_shape=(3, 8, 8), num_classes=4)
         path = tmp_path / "model.ckpt"
-        nn.save_checkpoint(path, nn.Model(arch=arch,
-                                          params=nn.init_params(arch, 2)))
+        nn.save_checkpoint(path, nn.Model(
+            arch=arch, params=nn.init_params(arch, 2),
+            trained_on={"seed": 2, "dataset": {"dims": [3, 8, 8]}}))
         return path, path.read_bytes()
+
+    def rewrite_header(self, path, raw, edit):
+        """Write raw back with edit applied to its parsed JSON header."""
+        magic = len(nn.CHECKPOINT_MAGIC)
+        end = raw.index(b"\n", magic) + 1
+        header = json.loads(raw[magic:end])
+        edit(header)
+        path.write_bytes(raw[:magic] + json.dumps(header).encode() + b"\n"
+                         + raw[end:])
 
     @pytest.mark.parametrize("cut", [1, 4, 100, 1000])
     def test_truncated_rejected(self, tmp_path, cut):
@@ -337,25 +349,78 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError, match="trailing bytes"):
             nn.load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", ["swap_dims", "drop_array",
-                                      "wrong_layer"])
-    def test_array_shapes_must_match_architecture(self, tmp_path, edit):
+    @pytest.mark.parametrize("width, message", [
+        (9, "truncated in layer 6 W"), (7, "trailing bytes")],
+        ids=["widen_conv", "narrow_conv"])
+    def test_header_arch_sets_byte_count(self, tmp_path, width, message):
         path, raw = self.saved(tmp_path)
-        magic = len(nn.CHECKPOINT_MAGIC)
-        end = raw.index(b"\n", magic) + 1
-        header = json.loads(raw[magic:end])
-        arrays = header["arrays"]
-        if edit == "swap_dims":    # same byte count, wrong shape
-            arrays[0]["shape"] = arrays[0]["shape"][::-1]
-        elif edit == "drop_array":
-            arrays.pop()
-        else:
-            arrays[0]["layer"] = 1
-        path.write_bytes(raw[:magic] + json.dumps(header).encode() + b"\n"
-                         + raw[end:])
-        with pytest.raises(nn.CheckpointError,
-                           match="architecture needs"):
+
+        def edit(header):
+            assert header["arch"]["layers"][0] == ["conv", 8]
+            header["arch"]["layers"][0][1] = width
+
+        self.rewrite_header(path, raw, edit)
+        with pytest.raises(nn.CheckpointError, match=message):
             nn.load_checkpoint(path)
+
+    def test_negative_input_dim_is_a_bad_header(self, tmp_path):
+        # one byte, " " -> "-", turns input_shape [3, 8, 8] into [3,-8, 8]
+        path, raw = self.saved(tmp_path)
+        field = b'"input_shape": [3,'
+        pos = raw.index(field + b" 8, 8]") + len(field)
+        path.write_bytes(raw[:pos] + b"-" + raw[pos + 1:])
+        with pytest.raises(nn.CheckpointError, match="input dims"):
+            nn.load_checkpoint(path)
+
+    def test_v1_file_rejected_naming_v2(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+        path.write_bytes(b"FEDAUDIT-CKPT v1\n"
+                         + raw[len(nn.CHECKPOINT_MAGIC):])
+        with pytest.raises(nn.CheckpointError, match="v2"):
+            nn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("trained_on", [None, [2]],
+                             ids=["missing", "not_an_object"])
+    def test_header_without_trained_on_rejected(self, tmp_path, trained_on):
+        path, raw = self.saved(tmp_path)
+
+        def edit(header):
+            del header["trained_on"]
+            if trained_on is not None:
+                header["trained_on"] = trained_on
+
+        self.rewrite_header(path, raw, edit)
+        with pytest.raises(nn.CheckpointError, match="bad header"):
+            nn.load_checkpoint(path)
+
+    def test_float64_params_not_saved(self, tmp_path):
+        arch = tiny_arch()
+        path = tmp_path / "model.ckpt"
+        model = nn.Model(arch=arch, params=params_f64(arch, 0))
+        with pytest.raises(nn.CheckpointError, match="float32"):
+            nn.save_checkpoint(path, model)
+        assert not path.exists()
+
+    def test_damaged_files_load_or_raise_checkpoint_error(self, tmp_path):
+        """Every header cut and 50 payload cuts raise CheckpointError; 200
+        one-byte header flips each load or raise it, nothing else."""
+        path, raw = self.saved(tmp_path)
+        end = raw.index(b"\n", len(nn.CHECKPOINT_MAGIC)) + 1
+        rng = np.random.default_rng(7)
+        cuts = [*range(end), *rng.integers(end, len(raw), 50)]
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(nn.CheckpointError):
+                nn.load_checkpoint(path)
+        for pos, flip in zip(rng.integers(0, end, 200),
+                             rng.integers(1, 256, 200)):
+            flipped = bytearray(raw)
+            flipped[pos] ^= flip
+            path.write_bytes(bytes(flipped))
+            try:
+                nn.load_checkpoint(path)
+            except nn.CheckpointError:
+                pass
 
     def test_checkpoint_error_is_value_error(self):
         assert issubclass(nn.CheckpointError, ValueError)
@@ -393,8 +458,11 @@ class TestArchitectureDescriptor:
          "conv width must be >= 1, got 0"),
         ((1, 2, 2), (("flatten",), ("dense_relu", 0), ("dense", 3)),
          "dense_relu width must be >= 1, got 0"),
+        ((1, -2, 2), (("conv", 2), ("flatten",), ("dense", 3)),
+         r"input dims must be >= 1, got \(1, -2, 2\)"),
     ], ids=["unknown_kind", "maxpool_odd_dims", "dense_on_image",
-            "conv_on_flat", "conv_width_zero", "dense_width_zero"])
+            "conv_on_flat", "conv_width_zero", "dense_width_zero",
+            "negative_input_dim"])
     def test_invalid_layer_chain_rejected(self, input_shape, layers,
                                           message):
         with pytest.raises(ValueError, match=message):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fedaudit.tensors import (ErosionConfig, ErosionConfigError, avg_pool,
-                              erode_step, erosion_sequence, upsample)
+                              erosion_sequence, upsample)
 
 
 def pool_oracle(img, factor):
@@ -125,17 +125,18 @@ class TestErodeStep:
     def test_constant_is_identity(self):
         img = np.full((3, 8, 8), 0.6, dtype=np.float32)
         for mode in ("nearest", "bilinear"):
-            out = erode_step(img, ErosionConfig(1, upsample_mode=mode))
+            out = erosion_sequence(
+                img, ErosionConfig(1, upsample_mode=mode))[1]
             assert np.allclose(out, img, atol=1e-6)
 
     def test_2x2_collapses_to_mean(self):
         img = np.array([[[1, 3], [5, 7]]], dtype=np.float32)
-        out = erode_step(img, ErosionConfig(1))
+        out = erosion_sequence(img, ErosionConfig(1))[1]
         assert np.allclose(out, 4.0)
 
     def test_nearest_output_piecewise_constant(self):
         img = rand_img((3, 8, 8), 3)
-        out = erode_step(img, ErosionConfig(1))
+        out = erosion_sequence(img, ErosionConfig(1))[1]
         blocks = out.reshape(3, 4, 2, 4, 2)
         assert np.allclose(blocks, blocks[:, :, :1, :, :1], atol=1e-6)
 
@@ -143,20 +144,21 @@ class TestErodeStep:
     def test_bounded_by_input(self, mode):
         for seed in range(10):
             img = rand_img((3, 8, 8), seed)
-            out = erode_step(img, ErosionConfig(1, upsample_mode=mode))
+            out = erosion_sequence(
+                img, ErosionConfig(1, upsample_mode=mode))[1]
             assert out.min() >= img.min() - 1e-6
             assert out.max() <= img.max() + 1e-6
 
     def test_nearest_values_subset_of_pooled(self):
         img = rand_img((2, 8, 8), 4)
         pooled = avg_pool(img, 2)
-        out = erode_step(img, ErosionConfig(1))
+        out = erosion_sequence(img, ErosionConfig(1))[1]
         assert set(np.unique(out)) <= set(np.unique(pooled))
 
     def test_nearest_preserves_global_mean(self):
         for seed in range(10):
             img = rand_img((3, 16, 16), seed + 20)
-            out = erode_step(img, ErosionConfig(1))
+            out = erosion_sequence(img, ErosionConfig(1))[1]
             assert abs(float(out.mean()) - float(img.mean())) < 1e-6
 
 
