@@ -11,6 +11,7 @@ No gradients and no parameter access anywhere: everything goes through
 ``model.query``.
 """
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,10 @@ ATTACK_NAMES = ("resmia", "loss", "entropy")
 
 SCORES_CSV_COLUMNS = ("sample_id", "client_id", "is_member", "score_resmia",
                       "score_loss", "score_entropy", "queries_resmia")
+
+
+class ScoresCsvError(ValueError):
+    """A scores CSV that write_scores_csv could not have written."""
 
 
 @dataclass
@@ -182,17 +187,25 @@ def write_scores_csv(path, records, metadata=None):
 
 
 def read_scores_csv(path):
-    """Inverse of write_scores_csv; returns (records, metadata)."""
-    rows, metadata = read_csv(path)
+    """Inverse of write_scores_csv; returns (records, metadata).
+
+    ScoresCsvError names the path and the first data row that does not
+    parse; a damaged header fails at row 1.
+    """
     records = []
-    for row in rows:
-        cid = row["client_id"]
-        records.append(AttackRecord(
-            sample_id=int(row["sample_id"]),
-            client_id=cid if cid == "nonmember" else int(cid),
-            is_member=bool(int(row["is_member"])),
-            scores={"resmia": float(row["score_resmia"]),
-                    "loss": float(row["score_loss"]),
-                    "entropy": float(row["score_entropy"])},
-            queries_resmia=int(row["queries_resmia"])))
+    try:
+        rows, metadata = read_csv(path)
+        for row in rows:
+            cid = row["client_id"]
+            records.append(AttackRecord(
+                sample_id=int(row["sample_id"]),
+                client_id=cid if cid == "nonmember" else int(cid),
+                is_member=bool(int(row["is_member"])),
+                scores={"resmia": float(row["score_resmia"]),
+                        "loss": float(row["score_loss"]),
+                        "entropy": float(row["score_entropy"])},
+                queries_resmia=int(row["queries_resmia"])))
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise ScoresCsvError(f"{path}: data row {len(records) + 1} "
+                             f"does not parse: {exc!r}") from exc
     return records, metadata

@@ -6,6 +6,7 @@ One master seed deterministically derives every per-(round, client)
 shuffling seed, so a whole run is reproducible bit for bit.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,25 +118,35 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
     Log rows: dicts with round, train_acc, test_acc, mean_client_loss.
     Client training fans out across threads when workers > 1, each
     with one BLAS thread; numerics are identical for any worker count
-    because clients are independent.
+    because clients are independent.  Each round's fan-out also
+    carries the accuracy pass of the previous round's global params,
+    on the calling thread; the final params are measured after the
+    last round.
     """
     shards = partition(dataset, cfg.num_clients, cfg.seed)
     sizes = [len(s.labels) for s in shards]
     params = nn.init_params(arch, cfg.seed)
     log = []
-    for rnd in range(cfg.rounds):
-        def fit(shard, rnd=rnd, params=params):
-            return local_train(params, arch, shard, cfg, round_idx=rnd)
-        results = nn.map_workers(fit, shards, workers)
-        params = fedavg_aggregate([r[0] for r in results], sizes)
-        row = {
+
+    def log_round(rnd, params, losses):
+        log.append({
             "round": rnd + 1,
             "train_acc": _accuracy(params, arch, dataset.images,
                                    dataset.labels),
             "test_acc": (_accuracy(params, arch, test_set.images,
                                    test_set.labels)
                          if test_set is not None else float("nan")),
-            "mean_client_loss": float(np.mean([r[1] for r in results])),
-        }
-        log.append(row)
+            "mean_client_loss": float(np.mean(losses)),
+        })
+
+    measure = None
+    for rnd in range(cfg.rounds):
+        def fit(shard, rnd=rnd, params=params):
+            return local_train(params, arch, shard, cfg, round_idx=rnd)
+        results = nn.map_workers(fit, shards, workers, first=measure)
+        params = fedavg_aggregate([r[0] for r in results], sizes)
+        measure = functools.partial(log_round, rnd, params,
+                                    [r[1] for r in results])
+    if measure is not None:
+        measure()
     return params, log

@@ -47,6 +47,11 @@ class CheckpointError(ValueError):
     """A checkpoint file that is not a complete, well-formed checkpoint."""
 
 
+def _is_int(value):
+    """True for Python and numpy integers; bools are not sizes."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ArchitectureDescriptor:
     """Layer sequence plus input dims and class count.
@@ -61,6 +66,9 @@ class ArchitectureDescriptor:
     num_classes: int
 
     def __post_init__(self):
+        if not _is_int(self.num_classes):
+            raise ValueError(
+                f"num_classes must be an int, got {self.num_classes!r}")
         shapes = self.layer_shapes()
         final_kind = self.layers[-1][0]
         if final_kind != "dense":
@@ -73,6 +81,8 @@ class ArchitectureDescriptor:
     def layer_shapes(self):
         """Output shape after each layer, starting from input_shape."""
         shapes = [tuple(self.input_shape)]
+        if not all(map(_is_int, shapes[0])):
+            raise ValueError(f"input dims must be ints, got {shapes[0]}")
         if min(shapes[0], default=1) < 1:
             raise ValueError(f"input dims must be >= 1, got {shapes[0]}")
         for layer in self.layers:
@@ -80,8 +90,13 @@ class ArchitectureDescriptor:
             cur = shapes[-1]
             if kind in ("conv", "maxpool") and len(cur) != 3:
                 raise ValueError(f"{kind} layer needs a (C, H, W) input")
-            if kind in ("conv", "dense_relu", "dense") and layer[1] < 1:
-                raise ValueError(f"{kind} width must be >= 1, got {layer[1]}")
+            if kind in ("conv", "dense_relu", "dense"):
+                if not _is_int(layer[1]):
+                    raise ValueError(
+                        f"{kind} width must be an int, got {layer[1]!r}")
+                if layer[1] < 1:
+                    raise ValueError(
+                        f"{kind} width must be >= 1, got {layer[1]}")
             if kind == "conv":
                 c, h, w = cur
                 shapes.append((layer[1], h, w))
@@ -383,14 +398,46 @@ def single_blas_thread():
         set_(before)
 
 
-def map_workers(fn, items, workers):
-    """[fn(item) for item in items]: inline with the caller's BLAS threads
-    when workers is 1, else on a pool of `workers` threads with one BLAS
-    thread, so the results are the same for any worker count."""
+def map_workers(fn, items, workers, first=None):
+    """[fn(item) for item in items] on `workers` threads, one of them
+    the calling thread, which runs first() before it takes items.
+
+    With 1 worker all of it runs inline with the caller's BLAS threads.
+    Otherwise a pool of workers - 1 threads starts on the items while
+    the caller runs first(), then the caller takes items from the same
+    queue, every thread on one BLAS thread, so the results are the same
+    for any worker count.  first() never runs on a pool thread: glibc
+    gives each thread its own malloc arena, and a large pass there
+    would stay resident in it.  The first error stops the queue.
+    """
+    todo = list(enumerate(items))[::-1]
+    results = [None] * len(todo)
+    lock = threading.Lock()
+
+    def work(before=None):
+        try:
+            if before is not None:
+                before()
+            while True:
+                with lock:
+                    if not todo:
+                        return
+                    i, item = todo.pop()
+                results[i] = fn(item)
+        except BaseException:
+            with lock:
+                todo.clear()
+            raise
+
     if workers <= 1:
-        return [fn(item) for item in items]
-    with single_blas_thread(), ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, items))
+        work(first)
+        return results
+    with single_blas_thread(), ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(workers - 1)]
+        work(first)
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -276,3 +278,41 @@ class TestScoresCsv:
         write_scores_csv(path, self.make_records())
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(attacks.SCORES_CSV_COLUMNS)
+
+    def test_short_row_names_path_and_row(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, self.make_records(), metadata={"seed": 1})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:raw.rindex(b",")])
+        with pytest.raises(attacks.ScoresCsvError,
+                           match=f"^{re.escape(str(path))}: data row 2 "):
+            read_scores_csv(path)
+
+    def test_scores_csv_error_is_value_error(self):
+        assert issubclass(attacks.ScoresCsvError, ValueError)
+
+    def test_damaged_files_load_or_raise_scores_csv_error(self, tmp_path):
+        """Every cut and 200 one-byte flips of an 8-record file each load
+        or raise ScoresCsvError, nothing else."""
+        path = tmp_path / "scores.csv"
+        records = [AttackRecord(7 * i, "nonmember" if i % 2 else i % 5,
+                                i % 2 == 0,
+                                {"resmia": 0.1 * i, "loss": 0.9 - 0.05 * i,
+                                 "entropy": -0.3 * i}, 4)
+                   for i in range(8)]
+        write_scores_csv(path, records,
+                         metadata={"seed": 0, "config_hash": "abc"})
+        raw = path.read_bytes()
+        rng = np.random.default_rng(11)
+        flips = zip(rng.integers(0, len(raw), 200), rng.integers(1, 256, 200))
+        damaged = [raw[:cut] for cut in range(len(raw))]
+        for pos, flip in flips:
+            flipped = bytearray(raw)
+            flipped[pos] ^= flip
+            damaged.append(bytes(flipped))
+        for content in damaged:
+            path.write_bytes(content)
+            try:
+                read_scores_csv(path)
+            except attacks.ScoresCsvError:
+                pass

@@ -281,6 +281,20 @@ class TestOverridesAndErrors:
     def test_report_without_outputs_exits_1(self, tmp_path):
         assert cli.main(["report", "--out", str(tmp_path / "empty")]) == 1
 
+    def test_damaged_scores_csv_exits_1_naming_file_and_row(self, tmp_path,
+                                                          capsys):
+        _, out, _ = run_pipeline(tmp_path)
+        scores = os.path.join(out, "scores.csv")
+        with open(scores, "rb") as fh:
+            raw = fh.read()
+        # cut the last of the 16 rows short after its client_id
+        last = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        with open(scores, "wb") as fh:
+            fh.write(raw[:raw.index(b",", raw.index(b",", last) + 1)])
+        capsys.readouterr()
+        assert cli.main(["report", "--out", out]) == 1
+        assert f"error: {scores}: data row 16 " in capsys.readouterr().err
+
     @pytest.mark.parametrize("other_config, fragments", [
         ({"dataset": {"dims": [3, 8, 8]}},
          ["trained with dataset", '"dims": [3, 16, 16]',

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -165,17 +168,48 @@ class TestLocalTrain:
                 assert np.array_equal(p["W"], q["W"])
 
 
+def train_run(workers, test_set=None, rounds=2):
+    """(params as bytes per block, log rows with every value as repr)."""
+    cfg = FedConfig(num_clients=3, rounds=rounds, local_epochs=1,
+                    batch_size=8, seed=8)
+    params, log = federated.run_federated_training(
+        toy_dataset(30), toy_arch(), cfg, test_set=test_set, workers=workers)
+    return ([None if p is None else {k: a.tobytes() for k, a in p.items()}
+             for p in params],
+            [{k: repr(v) for k, v in row.items()} for row in log])
+
+
+def train_params(workers):
+    return train_run(workers)[0]
+
+
+def with_empty_shard(monkeypatch, client_id):
+    """Make partition hand client_id an empty shard."""
+    real = federated.partition
+
+    def partition(*args, **kwargs):
+        shards = real(*args, **kwargs)
+        shard = shards[client_id]
+        shard.images, shard.labels, shard.sample_ids = (
+            shard.images[:0], shard.labels[:0], shard.sample_ids[:0])
+        return shards
+
+    monkeypatch.setattr(federated, "partition", partition)
+
+
 class TestRunFederatedTraining:
     def test_zero_rounds_returns_initial_params(self):
         ds = toy_dataset(20)
         arch = toy_arch()
         cfg = FedConfig(num_clients=2, rounds=0, seed=4)
-        params, log = federated.run_federated_training(ds, arch, cfg)
         init = nn.init_params(arch, 4)
-        assert log == []
-        for p, q in zip(init, params):
-            if p is not None:
-                assert np.array_equal(p["W"], q["W"])
+        for workers in (1, 2):
+            params, log = federated.run_federated_training(
+                ds, arch, cfg, workers=workers)
+            assert log == []
+            for p, q in zip(init, params):
+                if p is not None:
+                    assert np.array_equal(p["W"], q["W"])
 
     def test_single_client_equals_centralized_sgd(self):
         ds = toy_dataset(24)
@@ -215,15 +249,62 @@ class TestRunFederatedTraining:
                 assert pa["W"].tobytes() == pb["W"].tobytes()
 
     def test_worker_count_does_not_change_numerics(self):
-        ds = toy_dataset(30)
-        arch = toy_arch()
-        cfg = FedConfig(num_clients=3, rounds=2, local_epochs=1,
-                        batch_size=8, seed=8)
-        a, _ = federated.run_federated_training(ds, arch, cfg, workers=1)
-        b, _ = federated.run_federated_training(ds, arch, cfg, workers=3)
-        for pa, pb in zip(a, b):
+        test = toy_dataset(10, seed=1)
+        params_a, log_a = train_run(1, test)
+        params_b, log_b = train_run(3, test)
+        for pa, pb in zip(params_a, params_b):
             if pa is not None:
-                assert pa["W"].tobytes() == pb["W"].tobytes()
+                assert pa["W"] == pb["W"]
+                assert pa["b"] == pb["b"]
+        assert log_a == log_b
+
+    @pytest.mark.parametrize("with_test_set", [True, False],
+                             ids=["test_set", "no_test_set"])
+    def test_log_rows_bit_identical_for_any_worker_count(self,
+                                                         with_test_set):
+        test = toy_dataset(10, seed=1) if with_test_set else None
+        serial = train_run(1, test, rounds=3)
+        assert train_run(2, test, rounds=3) == serial
+        assert train_run(3, test, rounds=3) == serial
+        rows = serial[1]
+        assert [row["round"] for row in rows] == ["1", "2", "3"]
+        assert all((row["test_acc"] == "nan") != with_test_set
+                   for row in rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_row_measures_its_rounds_params(self, workers):
+        ds, test, arch = toy_dataset(30), toy_dataset(10, seed=1), toy_arch()
+        logs = []
+        for rounds in (1, 2):
+            cfg = FedConfig(num_clients=3, rounds=rounds, local_epochs=1,
+                            batch_size=8, seed=8)
+            params, log = federated.run_federated_training(
+                ds, arch, cfg, test_set=test, workers=workers)
+            assert log[-1]["train_acc"] == federated._accuracy(
+                params, arch, ds.images, ds.labels)
+            assert log[-1]["test_acc"] == federated._accuracy(
+                params, arch, test.images, test.labels)
+            logs.append(log)
+        assert logs[1][0] == logs[0][0]
+
+    def test_accuracy_runs_on_the_calling_thread(self, monkeypatch):
+        seen = []
+        real = federated._accuracy
+
+        def spy(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federated, "_accuracy", spy)
+        train_run(2, toy_dataset(10, seed=1), rounds=3)
+        # train and test set after each of 3 rounds
+        assert seen == [threading.get_ident()] * 6
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_client_error_propagates(self, monkeypatch, workers):
+        with_empty_shard(monkeypatch, 1)
+        with pytest.raises(ValueError, match="client 1 has an empty shard"):
+            train_run(workers)
 
     def test_log_rows_have_expected_fields(self):
         ds = toy_dataset(20)
@@ -265,15 +346,6 @@ def count_blas_threads_in_local_train(monkeypatch, get):
     return seen
 
 
-def train_params(workers):
-    cfg = FedConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=8,
-                    seed=8)
-    params, _ = federated.run_federated_training(
-        toy_dataset(30), toy_arch(), cfg, workers=workers)
-    return [None if p is None else {k: a.tobytes() for k, a in p.items()}
-            for p in params]
-
-
 class TestSingleBlasThread:
     def test_restores_count_after_block(self, blas_threads):
         with nn.single_blas_thread():
@@ -302,6 +374,27 @@ class TestSingleBlasThread:
         assert seen == [in_client] * 6
         assert blas_threads() == 2
 
+    def test_client_error_restores_count(self, blas_threads, monkeypatch):
+        with_empty_shard(monkeypatch, 1)
+        with pytest.raises(ValueError, match="empty shard"):
+            train_params(2)
+        assert blas_threads() == 2
+
+    def test_accuracy_pass_runs_one_blas_thread_in_the_fan_out(
+            self, blas_threads, monkeypatch):
+        seen = []
+        real = federated._accuracy
+
+        def spy(*args, **kwargs):
+            seen.append(blas_threads())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(federated, "_accuracy", spy)
+        train_params(2)
+        # round 1 is measured inside round 2's fan-out, round 2 after it
+        assert seen == [1, 2]
+        assert blas_threads() == 2
+
     def test_missing_blas_api_is_a_no_op(self, blas_threads, monkeypatch):
         monkeypatch.setattr(nn, "_blas_thread_api", lambda: None)
         with nn.single_blas_thread():
@@ -310,3 +403,58 @@ class TestSingleBlasThread:
         seen = count_blas_threads_in_local_train(monkeypatch, blas_threads)
         assert train_params(2) == serial
         assert seen == [2] * 6
+
+
+class TestMapWorkers:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 9])
+    def test_results_in_item_order(self, workers):
+        assert nn.map_workers(lambda x: x * x, range(7), workers) == [
+            x * x for x in range(7)]
+
+    def test_one_worker_runs_first_then_items_inline(self):
+        calls = []
+        nn.map_workers(lambda x: calls.append((x, threading.get_ident())),
+                       range(3), 1,
+                       first=lambda: calls.append(("first",
+                                                   threading.get_ident())))
+        me = threading.get_ident()
+        assert calls == [("first", me), (0, me), (1, me), (2, me)]
+
+    def test_first_runs_on_the_caller_while_the_pool_takes_items(self):
+        item_threads = []
+        taken = threading.Event()
+
+        def fn(x):
+            item_threads.append(threading.get_ident())
+            taken.set()
+            return x
+
+        def first():
+            # blocks until a pool thread has run an item
+            assert taken.wait(10)
+            item_threads.append(("first", threading.get_ident()))
+
+        assert nn.map_workers(fn, range(4), 2, first=first) == [0, 1, 2, 3]
+        me = threading.get_ident()
+        assert ("first", me) in item_threads
+        assert item_threads[0] != me
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("failing", ["item", "first"])
+    def test_first_error_stops_the_queue(self, workers, failing):
+        ran = []
+
+        def fn(x):
+            ran.append(x)
+            if failing == "item" and x == 0:
+                raise RuntimeError("boom")
+            time.sleep(0.01)
+            return x
+
+        def first():
+            if failing == "first":
+                raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError, match="boom"):
+            nn.map_workers(fn, range(100), workers, first=first)
+        assert len(ran) < 10

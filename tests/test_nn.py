@@ -372,6 +372,28 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError, match="input dims"):
             nn.load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("input_shape", [3.0, 8, 8], "input dims must be ints"),
+        ("input_shape", [True, 8, 8], "input dims must be ints"),
+        ("input_shape", [3, 8.0, 8], "input dims must be ints"),
+        ("layers", [["conv", 8.0]], "conv width must be an int"),
+        ("num_classes", 4.0, "num_classes must be an int"),
+    ], ids=["float_channels", "bool_channels", "float_height",
+            "float_conv_width", "float_num_classes"])
+    def test_non_int_arch_sizes_are_a_bad_header(self, tmp_path, field,
+                                                 value, message):
+        path, raw = self.saved(tmp_path)
+
+        def edit(header):
+            if field == "layers":
+                header["arch"]["layers"][:1] = value
+            else:
+                header["arch"][field] = value
+
+        self.rewrite_header(path, raw, edit)
+        with pytest.raises(nn.CheckpointError, match=message):
+            nn.load_checkpoint(path)
+
     def test_v1_file_rejected_naming_v2(self, tmp_path):
         path, raw = self.saved(tmp_path)
         path.write_bytes(b"FEDAUDIT-CKPT v1\n"
@@ -439,6 +461,12 @@ class TestArchitectureDescriptor:
                 input_shape=(1, 2, 2),
                 layers=(("flatten",), ("dense_relu", 3)), num_classes=3)
 
+    def test_numpy_int_sizes_accepted(self):
+        arch = nn.default_architecture(
+            input_shape=np.array([3, 8, 8]), num_classes=np.int64(4),
+            conv_channels=(np.int32(2),), dense_width=np.int64(5))
+        assert arch.layer_shapes()[-1] == (4,)
+
     def test_shape_chain(self):
         arch = nn.default_architecture()
         shapes = arch.layer_shapes()
@@ -460,9 +488,13 @@ class TestArchitectureDescriptor:
          "dense_relu width must be >= 1, got 0"),
         ((1, -2, 2), (("conv", 2), ("flatten",), ("dense", 3)),
          r"input dims must be >= 1, got \(1, -2, 2\)"),
+        ((1, 2, 2), (("flatten",), ("dense_relu", 2.0), ("dense", 3)),
+         r"dense_relu width must be an int, got 2\.0"),
+        ((1, 2, np.int64(2)), (("flatten",), ("dense", True)),
+         "dense width must be an int, got True"),
     ], ids=["unknown_kind", "maxpool_odd_dims", "dense_on_image",
             "conv_on_flat", "conv_width_zero", "dense_width_zero",
-            "negative_input_dim"])
+            "negative_input_dim", "float_width", "bool_width"])
     def test_invalid_layer_chain_rejected(self, input_shape, layers,
                                           message):
         with pytest.raises(ValueError, match=message):
