@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 1 runtime error.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -137,14 +138,19 @@ def validate_config(cfg):
         path = resolve_dataset_path(ds)
         if not os.path.isdir(path):
             raise ConfigError(f"CIFAR-10 directory not found: {path}")
-        # CIFAR-10 images are 3x32x32 in 10 classes whatever the config says
-        dims, classes = [3, 32, 32], 10
+        # CIFAR-10's geometry, whatever the config says
+        dims, classes = data.CIFAR_SHAPE, data.CIFAR_CLASSES
     else:
         raise ConfigError(f"unknown dataset type {ds['type']!r}")
+    train_size, test_size = data.split_sizes(ds)
+    clients = cfg["fed"]["num_clients"]
     builds.update({
-        "fed": lambda: fed_config(cfg),
+        "fed": lambda: federated.check_partition(
+            train_size, fed_config(cfg).num_clients),
+        # np.array_split's smallest shard; "fed" has checked clients >= 1
         "eval": lambda: data.check_eval_counts(
-            cfg["fed"]["num_clients"], **cfg["eval"]),
+            clients, **cfg["eval"], smallest_shard=train_size // clients,
+            test_size=test_size),
         "erosion": lambda: erosion_config(cfg).check_image(*dims[1:]),
         "arch": lambda: nn.default_architecture(dims, classes,
                                                 **cfg["arch"])})
@@ -191,11 +197,11 @@ def build_datasets(cfg):
         train = data.generate_synthetic(
             ds["classes"], ds["per_class"], tuple(ds["dims"]), seed,
             noise_amp=ds["noise_amp"], template_strength=strength,
-            stream=0, split="train")
+            stream=0)
         test = data.generate_synthetic(
             ds["classes"], ds["test_per_class"], tuple(ds["dims"]), seed,
             noise_amp=ds["noise_amp"], template_strength=strength,
-            stream=1, id_base=1_000_000, split="test")
+            stream=1, id_base=1_000_000)
         return train, test
     train, test = data.load_cifar10(resolve_dataset_path(ds))
     if "subset_per_class" in ds:
@@ -203,21 +209,12 @@ def build_datasets(cfg):
     return train, test
 
 
-def erosion_config(cfg, mode=None):
-    ero = cfg["erosion"]
-    if ero["steps"] < 1:
-        raise ValueError(f"steps must be >= 1, got {ero['steps']}")
-    return ErosionConfig(steps=ero["steps"], pool_factor=ero["pool_factor"],
-                         upsample_mode=mode or ero["upsample_mode"])
+def erosion_config(cfg):
+    return ErosionConfig(**cfg["erosion"])
 
 
 def fed_config(cfg):
-    fed = cfg["fed"]
-    return federated.FedConfig(num_clients=fed["num_clients"],
-                               rounds=fed["rounds"],
-                               local_epochs=fed["local_epochs"],
-                               batch_size=fed["batch_size"],
-                               lr=fed["lr"], seed=cfg["seed"])
+    return federated.FedConfig(seed=cfg["seed"], **cfg["fed"])
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +249,11 @@ def cmd_train(cfg, workers=1):
     print(f"training log: {log_path}")
 
 
-def _eval_samples(cfg, model):
+def _open_audit(cfg, checkpoint):
+    """The prologue of attack and ablate: load the checkpoint, refuse
+    it unless it was trained on cfg's record, build the eval samples and
+    only then make the output directory.  Returns (model, samples)."""
+    model = nn.load_checkpoint(checkpoint)
     # the record fixes the shards, so any other one mislabels membership
     want = training_record(cfg)
     for key in sorted(want.keys() | model.trained_on.keys()):
@@ -264,11 +265,11 @@ def _eval_samples(cfg, model):
     train, test = build_datasets(cfg)
     shards = federated.partition(train, cfg["fed"]["num_clients"],
                                  cfg["seed"])
-    eval_set = data.build_eval_set(shards, test,
-                                   cfg["eval"]["members_per_client"],
-                                   cfg["eval"]["total_nonmembers"],
-                                   cfg["seed"])
-    return attacks.gather_eval_samples(eval_set, train, test)
+    eval_set = data.build_eval_set(shards, test, seed=cfg["seed"],
+                                   **cfg["eval"])
+    samples = attacks.gather_eval_samples(eval_set, train, test)
+    os.makedirs(cfg["out_dir"], exist_ok=True)
+    return model, samples
 
 
 def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
@@ -295,9 +296,7 @@ def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
 
 def cmd_attack(cfg, checkpoint, workers=1):
     out_dir = cfg["out_dir"]
-    model = nn.load_checkpoint(checkpoint)
-    samples = _eval_samples(cfg, model)
-    os.makedirs(out_dir, exist_ok=True)
+    model, samples = _open_audit(cfg, checkpoint)
     ero_cfg = erosion_config(cfg)
     records = attacks.evaluate_attacks(model, samples, ero_cfg,
                                        workers=workers)
@@ -325,13 +324,12 @@ def cmd_attack(cfg, checkpoint, workers=1):
 
 def cmd_ablate(cfg, checkpoint, workers=1):
     out_dir = cfg["out_dir"]
-    model = nn.load_checkpoint(checkpoint)
-    samples = _eval_samples(cfg, model)
-    os.makedirs(out_dir, exist_ok=True)
+    model, samples = _open_audit(cfg, checkpoint)
     rows = []
     for mode in ("nearest", "bilinear"):
-        records = attacks.evaluate_attacks(
-            model, samples, erosion_config(cfg, mode=mode), workers=workers)
+        ero_cfg = dataclasses.replace(erosion_config(cfg), upsample_mode=mode)
+        records = attacks.evaluate_attacks(model, samples, ero_cfg,
+                                           workers=workers)
         scores = [(r.scores["resmia"], r.is_member) for r in records]
         rows.append((mode, metrics.auc(metrics.roc_curve(scores))))
     path = os.path.join(out_dir, "ablation.csv")
@@ -357,6 +355,12 @@ def cmd_report(out_dir):
     for name in attacks.ATTACK_NAMES:
         scores = [(r.scores[name], r.is_member) for r in records]
         curves[name] = metrics.roc_curve(scores)
+        # both come from the same repr-exact scores through the same
+        # sweep, so the two files agree only if the AUCs are equal
+        got, want = metrics.auc(curves[name]), report.attacks[name]["auc"]
+        if got != want:
+            raise ValueError(f"{scores_path} gives {name} auc {got!r}, "
+                             f"{report_path} says {want!r}")
     roc_path = os.path.join(out_dir, "roc.csv")
     metrics.write_roc_csv(roc_path, curves, metadata=meta)
 

@@ -11,9 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CIFAR_RECORD_BYTES = 3073
+CIFAR_SHAPE = (3, 32, 32)
+CIFAR_CLASSES = 10
+CIFAR_RECORD_BYTES = 1 + int(np.prod(CIFAR_SHAPE))
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
+CIFAR_TRAIN_SIZE = 50_000
+CIFAR_TEST_SIZE = 10_000
+
+PATTERN_BANK = 32
+PATTERNS_PER_SAMPLE = 4
 
 
 class DatasetFormatError(ValueError):
@@ -26,7 +33,6 @@ class LabeledDataset:
     labels: np.ndarray        # (N,) int64
     ids: np.ndarray           # (N,) stable sample ids, unique within split
     num_classes: int
-    split: str                # train | test | synthetic
 
     def __len__(self):
         return len(self.labels)
@@ -34,7 +40,7 @@ class LabeledDataset:
     def subset(self, indices):
         idx = np.asarray(indices)
         return LabeledDataset(self.images[idx], self.labels[idx],
-                              self.ids[idx], self.num_classes, self.split)
+                              self.ids[idx], self.num_classes)
 
 
 @dataclass
@@ -56,15 +62,16 @@ def _parse_cifar_file(path):
     n = len(raw) // CIFAR_RECORD_BYTES
     records = np.frombuffer(raw, dtype=np.uint8).reshape(n, CIFAR_RECORD_BYTES)
     labels = records[:, 0].astype(np.int64)
-    bad = np.nonzero(labels > 9)[0]
+    bad = np.nonzero(labels >= CIFAR_CLASSES)[0]
     if bad.size:
         raise DatasetFormatError(
-            f"{path}: record {bad[0]} has label byte {labels[bad[0]]} > 9")
-    images = records[:, 1:].reshape(n, 3, 32, 32).astype(np.float32) / 255.0
-    return images, labels
+            f"{path}: record {bad[0]} has label byte {labels[bad[0]]} "
+            f"> {CIFAR_CLASSES - 1}")
+    images = records[:, 1:].reshape(n, *CIFAR_SHAPE)
+    return images.astype(np.float32) / 255.0, labels
 
 
-def _load_split(path, filenames, split, id_base=0):
+def _load_split(path, filenames, id_base=0):
     images, labels = [], []
     for name in filenames:
         full = os.path.join(path, name)
@@ -76,7 +83,7 @@ def _load_split(path, filenames, split, id_base=0):
     images = np.concatenate(images)
     labels = np.concatenate(labels)
     ids = np.arange(id_base, id_base + len(labels))
-    return LabeledDataset(images, labels, ids, 10, split)
+    return LabeledDataset(images, labels, ids, CIFAR_CLASSES)
 
 
 def load_cifar10(path):
@@ -85,8 +92,8 @@ def load_cifar10(path):
     Test-split sample ids are offset by 1_000_000 so member and
     non-member ids never collide.
     """
-    train = _load_split(path, CIFAR_TRAIN_FILES, "train")
-    test = _load_split(path, CIFAR_TEST_FILES, "test", id_base=1_000_000)
+    train = _load_split(path, CIFAR_TRAIN_FILES)
+    test = _load_split(path, CIFAR_TEST_FILES, id_base=1_000_000)
     return train, test
 
 
@@ -126,15 +133,14 @@ def check_synthetic(classes, dims, template_strength):
 
 def generate_synthetic(classes, per_class, dims=(3, 32, 32), seed=0,
                        noise_amp=0.25, template_strength=(1.0, 1.0),
-                       stream=0, id_base=0, split="synthetic",
-                       pattern_bank=32, patterns_per_sample=4):
+                       stream=0, id_base=0):
     """Seeded synthetic dataset: per-class smooth templates plus
     per-sample high-frequency detail.
 
     The template gives each class coarse, low-frequency structure with
     distinct per-channel means, so a heavily downsampled image stays
     class-separable.  The fine detail is a signed combination of
-    `patterns_per_sample` patterns drawn from a bank of `pattern_bank`
+    PATTERNS_PER_SAMPLE patterns drawn from a bank of PATTERN_BANK
     checkerboard-modulated random patterns shared by every sample (and
     every stream).  Two properties matter:
 
@@ -158,26 +164,26 @@ def generate_synthetic(classes, per_class, dims=(3, 32, 32), seed=0,
     c, h, w = dims
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13, stream]))
     templates = class_templates(classes, dims, seed)
-    bank = noise_pattern_bank(pattern_bank, dims, seed)
+    bank = noise_pattern_bank(PATTERN_BANK, dims, seed)
     n = classes * per_class
     images = np.empty((n, c, h, w), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     lo_s, hi_s = template_strength
-    scale = noise_amp / np.sqrt(patterns_per_sample)
+    scale = noise_amp / np.sqrt(PATTERNS_PER_SAMPLE)
     for cls in range(classes):
         lo = cls * per_class
         for i in range(per_class):
             alpha = rng.uniform(lo_s, hi_s)
-            chosen = rng.choice(pattern_bank, patterns_per_sample,
+            chosen = rng.choice(PATTERN_BANK, PATTERNS_PER_SAMPLE,
                                 replace=False)
-            signs = rng.choice([-1.0, 1.0], patterns_per_sample)
+            signs = rng.choice([-1.0, 1.0], PATTERNS_PER_SAMPLE)
             noise = scale * np.einsum("p,pchw->chw",
                                       signs, bank[chosen])
             coarse = 0.5 + alpha * (templates[cls] - 0.5)
             images[lo + i] = np.clip(coarse + noise, 0.0, 1.0)
             labels[lo + i] = cls
     ids = np.arange(id_base, id_base + n)
-    return LabeledDataset(images, labels, ids, classes, split)
+    return LabeledDataset(images, labels, ids, classes)
 
 
 def noise_pattern_bank(count, dims=(3, 32, 32), seed=0):
@@ -228,10 +234,23 @@ def subset_per_class(dataset, per_class, seed):
     return dataset.subset(chosen)
 
 
-def check_eval_counts(num_clients, members_per_client, total_nonmembers):
-    """Raise unless the eval set has members and is balanced: each
-    client gives members_per_client >= 1 members, and their total equals
-    total_nonmembers."""
+def split_sizes(ds):
+    """(train, test) sample counts of a dataset config section, known
+    before either split is built."""
+    if ds["type"] == "synthetic":
+        return (ds["classes"] * ds["per_class"],
+                ds["classes"] * ds["test_per_class"])
+    train = (CIFAR_CLASSES * ds["subset_per_class"]
+             if "subset_per_class" in ds else CIFAR_TRAIN_SIZE)
+    return train, CIFAR_TEST_SIZE
+
+
+def check_eval_counts(num_clients, members_per_client, total_nonmembers,
+                      smallest_shard, test_size):
+    """Raise unless the eval set has members, is balanced and fits the
+    data: each client gives members_per_client >= 1 members from its
+    shard, their total equals total_nonmembers, and the test split
+    holds that many."""
     if members_per_client < 1:
         raise ValueError(
             f"members_per_client must be >= 1, got {members_per_client}")
@@ -240,24 +259,26 @@ def check_eval_counts(num_clients, members_per_client, total_nonmembers):
             f"total_nonmembers must be {num_clients} clients x "
             f"{members_per_client} members, got {total_nonmembers}; "
             f"eval set must be balanced")
+    if members_per_client > smallest_shard:
+        raise ValueError(
+            f"members_per_client must be <= {smallest_shard}, the smallest "
+            f"client shard, got {members_per_client}")
+    if total_nonmembers > test_size:
+        raise ValueError(
+            f"total_nonmembers must be <= {test_size}, the test split "
+            f"size, got {total_nonmembers}")
 
 
 def build_eval_set(shards, test_set, members_per_client, total_nonmembers,
                    seed):
     """Client-balanced members vs held-out non-members, deterministic
     under the seed; see check_eval_counts for the counts it accepts."""
-    check_eval_counts(len(shards), members_per_client, total_nonmembers)
-    if len(test_set) < total_nonmembers:
-        raise ValueError(
-            f"test split has {len(test_set)} samples, need "
-            f"{total_nonmembers} non-members")
+    check_eval_counts(len(shards), members_per_client, total_nonmembers,
+                      min((len(s.sample_ids) for s in shards), default=0),
+                      len(test_set))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     members = []
     for shard in shards:
-        if len(shard.sample_ids) < members_per_client:
-            raise ValueError(
-                f"client {shard.client_id} has {len(shard.sample_ids)} "
-                f"samples, need {members_per_client}")
         picks = rng.choice(len(shard.sample_ids), members_per_client,
                            replace=False)
         for i in sorted(picks):

@@ -39,12 +39,17 @@ class ClientShard:
     sample_ids: np.ndarray    # original dataset ids
 
 
+def check_partition(n, num_clients):
+    """Raise unless n samples give each of num_clients shards one."""
+    if num_clients > n:
+        raise ValueError(f"num_clients must be <= {n}, the training split "
+                         f"size, got {num_clients}")
+
+
 def partition(dataset, num_clients, seed):
     """Disjoint, exhaustive, near-even shards (sizes differ by <= 1)."""
     n = len(dataset)
-    if num_clients > n:
-        raise ValueError(f"cannot split {n} samples across "
-                         f"{num_clients} clients")
+    check_partition(n, num_clients)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     order = rng.permutation(n)
     shards = []
@@ -103,7 +108,8 @@ def fedavg_aggregate(client_params, client_sizes):
             for i, block in enumerate(shapes)]
 
 
-def _accuracy(params, arch, images, labels, batch=256):
+def _accuracy(params, arch, images, labels):
+    batch = 256  # images per forward pass
     hits = 0
     for lo in range(0, len(labels), batch):
         logits = nn.forward_batch(params, arch, images[lo:lo + batch])

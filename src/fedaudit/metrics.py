@@ -98,9 +98,9 @@ def accuracy_at_best_threshold(scores):
     return float(acc[best]), float(vals[best])
 
 
-def per_client_auc(records, attack="resmia"):
-    """AUC of each client's members against the full non-member pool."""
-    non_member = [(r.scores[attack], False) for r in records
+def per_client_auc(records):
+    """Resmia AUC of each client's members against all non-members."""
+    non_member = [(r.scores["resmia"], False) for r in records
                   if not r.is_member]
     if not non_member:
         raise DegenerateScoresError("no non-member records")
@@ -108,7 +108,7 @@ def per_client_auc(records, attack="resmia"):
     for r in records:
         if r.is_member:
             by_client.setdefault(r.client_id, []).append(
-                (r.scores[attack], True))
+                (r.scores["resmia"], True))
     if not by_client:
         raise DegenerateScoresError("no member records")
     return {cid: auc(roc_curve(member + non_member))
@@ -150,8 +150,8 @@ class MetricsReport:
                    schema_version=payload["schema_version"])
 
 
-def build_report(records, erosion_steps, timing=None, metadata=None,
-                 target_tpr=0.8) -> MetricsReport:
+def build_report(records, erosion_steps, timing=None,
+                 metadata=None) -> MetricsReport:
     """Assemble the full metrics report from scored attack records."""
     attacks = {}
     for name in sorted(records[0].scores):
@@ -161,7 +161,7 @@ def build_report(records, erosion_steps, timing=None, metadata=None,
         attacks[name] = {
             "auc": auc(curve),
             "accuracy": acc,
-            "fpr_at_tpr80": fpr_at_tpr(curve, target_tpr),
+            "fpr_at_tpr80": fpr_at_tpr(curve, 0.8),
             "threshold": thr,
         }
     clients = per_client_auc(records)

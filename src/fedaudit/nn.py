@@ -25,7 +25,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -480,14 +480,8 @@ _DTYPE = np.dtype("<f4")
 
 
 def save_checkpoint(path, model: Model):
-    header = {
-        "arch": {
-            "input_shape": list(model.arch.input_shape),
-            "layers": [list(layer) for layer in model.arch.layers],
-            "num_classes": model.arch.num_classes,
-        },
-        "trained_on": model.trained_on,
-    }
+    header = {"arch": asdict(model.arch),
+              "trained_on": model.trained_on}
     arrays = [p[name] for p in model.params if p is not None
               for name in ("W", "b")]
     for arr in arrays:

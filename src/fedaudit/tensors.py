@@ -26,8 +26,8 @@ class ErosionConfig:
     upsample_mode: str = "nearest"
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise ErosionConfigError(f"steps must be >= 0, got {self.steps}")
+        if self.steps < 1:
+            raise ErosionConfigError(f"steps must be >= 1, got {self.steps}")
         if self.pool_factor < 2:
             raise ErosionConfigError(
                 f"pool_factor must be >= 2, got {self.pool_factor}")

@@ -65,14 +65,6 @@ class TestConfidenceTrace:
         confidence_trace(model, rand_img(1), ErosionConfig(3))
         assert model.query_count == 4
 
-    def test_k_zero_single_entry(self):
-        model = constant_model([0.6, 0.4])
-        trace = confidence_trace(model, rand_img(2), ErosionConfig(0))
-        assert len(trace.target_probs) == 1
-        assert model.query_count == 1
-        with pytest.raises(ValueError):
-            resmia_score(trace)
-
     def test_argmax_tie_breaks_low_index(self):
         model = constant_model([0.4, 0.4, 0.2])
         trace = confidence_trace(model, rand_img(3), ErosionConfig(1))
@@ -96,6 +88,13 @@ class TestResmiaScore:
     def test_hand_case(self):
         assert resmia_score(trace_from([0.9, 0.7, 0.5])) == \
             pytest.approx(0.2, abs=1e-12)
+
+    def test_one_entry_trace_rejected(self):
+        # ErosionConfig refuses 0 steps, but a trace can be built by hand
+        trace = trace_from([0.6])
+        for score in (resmia_score, resmia_score_closed):
+            with pytest.raises(ValueError, match="at least one erosion step"):
+                score(trace)
 
     def test_constant_trace_zero(self):
         assert resmia_score(trace_from([0.4, 0.4, 0.4])) == 0.0

@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from fedaudit import cli, nn
+from fedaudit import cli, data, nn
 
 
 SMALL_CONFIG = {
@@ -213,18 +214,32 @@ class TestOverridesAndErrors:
          "dataset.dims need >= 1 channel and sides >= 2, got [0, 32, 32]"),
         ({"dataset": {"dims": [3, -16, -16]}},
          "dataset.dims need >= 1 channel and sides >= 2, got [3, -16, -16]"),
+        # data sizes follow from the config: 4 classes x 0 samples
+        ({"dataset": {"per_class": 0}},
+         "fed.num_clients must be <= 0, the training split size, got 2"),
+        # 4 classes x 1 test sample < 8 non-members
+        ({"dataset": {"test_per_class": 1}},
+         "eval.total_nonmembers must be <= 4, the test split size, got 8"),
+        # 32 training samples over 3 clients: shards of 11, 11 and 10
+        ({"fed": {"num_clients": 3}, "dataset": {"test_per_class": 9},
+          "eval": {"members_per_client": 11, "total_nonmembers": 33}},
+         "eval.members_per_client must be <= 10, the smallest client "
+         "shard, got 11"),
     ], ids=["rounds", "lr", "pool_factor", "steps_zero", "steps_too_many",
             "huge_steps", "seed_bool", "batch_size_bool", "lr_bool",
             "unknown_key", "unknown_section", "dims_length",
             "channel_type", "eval_unbalanced", "eval_empty",
             "arch_zero_channels", "arch_negative_width",
             "arch_odd_maxpool", "template_strength_length", "one_class",
-            "dims_zero_channels", "dims_negative_sides"])
+            "dims_zero_channels", "dims_negative_sides", "train_too_small",
+            "test_too_small", "shard_too_small"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, extra,
                                       fragment):
         cfg = write_config(tmp_path, extra)
-        assert cli.main(["train", "--config", cfg]) == 2
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
         assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flags, fragment", [
         ("attack", ["--erosion-steps", "0"], "erosion.steps must be >= 1"),
@@ -295,6 +310,21 @@ class TestOverridesAndErrors:
         assert cli.main(["report", "--out", out]) == 1
         assert f"error: {scores}: data row 16 " in capsys.readouterr().err
 
+    def test_report_refuses_scores_cut_at_a_row(self, tmp_path, capsys):
+        _, out, _ = run_pipeline(tmp_path)
+        scores = os.path.join(out, "scores.csv")
+        with open(scores, "rb") as fh:
+            lines = fh.readlines()
+        with open(scores, "wb") as fh:
+            fh.writelines(lines[:-3])
+        capsys.readouterr()
+        assert cli.main(["report", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert scores in err
+        assert os.path.join(out, "report.json") in err
+        assert not os.path.exists(os.path.join(out, "roc.csv"))
+        assert not os.path.exists(os.path.join(out, "summary.txt"))
+
     @pytest.mark.parametrize("other_config, fragments", [
         ({"dataset": {"dims": [3, 8, 8]}},
          ["trained with dataset", '"dims": [3, 16, 16]',
@@ -328,6 +358,70 @@ class TestOverridesAndErrors:
         assert cli.main(["attack", "--config", other,
                          "--out", str(tmp_path / "run"),
                          "--checkpoint", small_checkpoint]) == 0
+
+
+def write_fake_cifar(root):
+    """5 training batches of 20 images and a test batch of 50, in the
+    CIFAR-10 binary layout; labels cycle through the 10 classes."""
+    rng = np.random.default_rng(0)
+    root.mkdir()
+    for name, n in [(f, 20) for f in data.CIFAR_TRAIN_FILES] + [
+            (f, 50) for f in data.CIFAR_TEST_FILES]:
+        images = rng.integers(0, 256, (n, *data.CIFAR_SHAPE), dtype=np.uint8)
+        data.write_cifar_batch(root / name, images, np.arange(n) % 10)
+
+
+class TestCifarRoute:
+    CIFAR = {"dataset": {"type": "cifar10", "path": "cifar"},
+             "fed": {"rounds": 1, "local_epochs": 1},
+             "eval": {"members_per_client": 2, "total_nonmembers": 4}}
+
+    @pytest.fixture
+    def data_root(self, tmp_path, monkeypatch):
+        write_fake_cifar(tmp_path / "cifar")
+        monkeypatch.setenv(cli.DATA_ROOT_ENV, str(tmp_path))
+        return tmp_path
+
+    def test_train_and_attack_through_data_root(self, tmp_path, data_root):
+        _, out, _ = run_pipeline(tmp_path, config_extra=self.CIFAR)
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert len(report["per_client_auc"]) == 2
+
+    def test_subset_per_class_trains(self, tmp_path, data_root):
+        extra = json.loads(json.dumps(self.CIFAR))
+        extra["dataset"]["subset_per_class"] = 4
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, extra),
+                         "--out", str(out)]) == 0
+        ckpt = nn.load_checkpoint(out / "model.ckpt")
+        assert ckpt.trained_on["dataset"]["subset_per_class"] == 4
+
+    def test_relative_path_without_data_root_exits_2(
+            self, tmp_path, monkeypatch, capsys):
+        write_fake_cifar(tmp_path / "cifar")
+        monkeypatch.delenv(cli.DATA_ROOT_ENV, raising=False)
+        monkeypatch.chdir(tmp_path / "cifar")
+        cfg = write_config(tmp_path, self.CIFAR)
+        assert cli.main(["train", "--config", cfg]) == 2
+        assert "CIFAR-10 directory not found: cifar" in capsys.readouterr().err
+
+    # sizes come from CIFAR-10's 50 000 / 10 000 split, not the files
+    @pytest.mark.parametrize("extra, fragment", [
+        ({"dataset": {"subset_per_class": 0}},
+         "fed.num_clients must be <= 0, the training split size"),
+        ({"eval": {"members_per_client": 5001, "total_nonmembers": 10002}},
+         "eval.total_nonmembers must be <= 10000, the test split size"),
+    ], ids=["empty_subset", "nonmembers_beyond_test_split"])
+    def test_data_size_from_config_exits_2(self, tmp_path, data_root,
+                                           capsys, extra, fragment):
+        cfg = json.loads(json.dumps(self.CIFAR))
+        for key, value in extra.items():
+            cfg[key].update(value)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 2
+        assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
 
 def ref_build_architecture(cfg, num_classes, dims):

@@ -147,7 +147,7 @@ class TestEvalSet:
     def setup_method(self):
         self.train = generate_synthetic(4, 25, (3, 8, 8), seed=0)
         self.test = generate_synthetic(4, 25, (3, 8, 8), seed=0, stream=1,
-                                       id_base=1_000_000, split="test")
+                                       id_base=1_000_000)
         self.shards = federated.partition(self.train, 5, seed=0)
 
     def test_balanced_counts(self):

@@ -13,7 +13,7 @@ def toy_dataset(n=100, seed=0, classes=4, dims=(1, 4, 4)):
     return data.LabeledDataset(
         images=rng.random((n, *dims)).astype(np.float32),
         labels=rng.integers(0, classes, size=n),
-        ids=np.arange(n), num_classes=classes, split="train")
+        ids=np.arange(n), num_classes=classes)
 
 
 def toy_arch(classes=4, dims=(1, 4, 4)):

@@ -306,6 +306,19 @@ class TestCheckpoint:
         nn.save_checkpoint(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_default_architecture_header_line(self, tmp_path):
+        arch = nn.default_architecture()
+        model = nn.Model(arch=arch, params=nn.init_params(arch, 0),
+                         trained_on={"seed": 0})
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, model)
+        assert path.read_bytes().split(b"\n")[:2] == [
+            b"FEDAUDIT-CKPT v2",
+            b'{"arch": {"input_shape": [3, 32, 32], "layers": [["conv", 8], '
+            b'["maxpool"], ["conv", 16], ["maxpool"], ["flatten"], '
+            b'["dense_relu", 64], ["dense", 10]], "num_classes": 10}, '
+            b'"trained_on": {"seed": 0}}']
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")

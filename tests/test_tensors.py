@@ -163,12 +163,6 @@ class TestErodeStep:
 
 
 class TestErosionSequence:
-    def test_zero_steps_returns_original_only(self):
-        img = rand_img((3, 8, 8), 0)
-        seq = erosion_sequence(img, ErosionConfig(0))
-        assert len(seq) == 1
-        assert seq[0] is img
-
     def test_full_collapse_to_channel_means(self):
         img = rand_img((3, 32, 32), 5)
         seq = erosion_sequence(img, ErosionConfig(5))
@@ -209,6 +203,9 @@ class TestErosionSequence:
 
 class TestErosionConfig:
     def test_rejects_bad_values(self):
+        # an erosion sequence without an eroded image scores nothing
+        with pytest.raises(ErosionConfigError, match="steps must be >= 1"):
+            ErosionConfig(0)
         with pytest.raises(ErosionConfigError):
             ErosionConfig(-1)
         with pytest.raises(ErosionConfigError):
