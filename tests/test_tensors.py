@@ -202,10 +202,12 @@ class TestErosionSequence:
 
 
 class TestErosionConfig:
-    def test_rejects_bad_values(self):
+    def test_zero_steps_rejected(self):
         # an erosion sequence without an eroded image scores nothing
         with pytest.raises(ErosionConfigError, match="steps must be >= 1"):
             ErosionConfig(0)
+
+    def test_rejects_bad_values(self):
         with pytest.raises(ErosionConfigError):
             ErosionConfig(-1)
         with pytest.raises(ErosionConfigError):
