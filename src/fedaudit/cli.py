@@ -142,7 +142,10 @@ def validate_config(cfg):
         dims, classes = data.CIFAR_SHAPE, data.CIFAR_CLASSES
     else:
         raise ConfigError(f"unknown dataset type {ds['type']!r}")
-    train_size, test_size = data.split_sizes(ds)
+    try:
+        train_size, test_size = data.split_sizes(ds)
+    except ValueError as exc:
+        raise ConfigError(f"dataset.{exc}") from exc
     clients = cfg["fed"]["num_clients"]
     builds.update({
         "fed": lambda: federated.check_partition(
@@ -222,11 +225,12 @@ def fed_config(cfg):
 
 
 def cmd_train(cfg, workers=1):
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     train, test = build_datasets(cfg)
     arch = nn.default_architecture(train.images.shape[1:], train.num_classes,
                                    **cfg["arch"])
+    # only now, so a data error leaves no output directory behind
+    out_dir = cfg["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     params, log = federated.run_federated_training(
         train, arch, fed_config(cfg), test_set=test, workers=workers)
     model = nn.Model(arch=arch, params=params,
@@ -350,6 +354,18 @@ def cmd_report(out_dir):
     records, meta = attacks.read_scores_csv(scores_path)
     with open(report_path) as fh:
         report = metrics.MetricsReport.from_json(fh.read())
+    ablation_path = os.path.join(out_dir, "ablation.csv")
+    inputs, ablation = {report_path: report.metadata}, None
+    if os.path.exists(ablation_path):
+        rows, inputs[ablation_path] = metrics.read_csv(ablation_path)
+        ablation = list(rows)
+    # every input must come from the run that wrote scores.csv
+    for path, other in inputs.items():
+        for key in ("seed", "config_hash"):
+            got, want = str(other.get(key)), meta.get(key)
+            if got != want:
+                raise ValueError(f"{path} has {key} {got}, "
+                                 f"{scores_path} has {key} {want}")
 
     curves = {}
     for name in attacks.ATTACK_NAMES:
@@ -389,12 +405,10 @@ def cmd_report(out_dir):
         lines.append(f"full erosion probe:  "
                      f"{report.timing['resmia_probe_ms']:.3f}")
         lines.append(f"ratio: {report.timing['ratio']:.2f}x")
-    ablation_path = os.path.join(out_dir, "ablation.csv")
-    if os.path.exists(ablation_path):
+    if ablation is not None:
         lines.append("")
         lines.append("upsampling ablation (resmia auc)")
-        rows, _ = metrics.read_csv(ablation_path)
-        for row in rows:
+        for row in ablation:
             lines.append(f"{row['upsample_mode']}: "
                          f"{float(row['auc_resmia']):.3f}")
     text = "\n".join(lines) + "\n"

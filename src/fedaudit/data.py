@@ -18,6 +18,7 @@ CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
 CIFAR_TRAIN_SIZE = 50_000
 CIFAR_TEST_SIZE = 10_000
+CIFAR_PER_CLASS = CIFAR_TRAIN_SIZE // CIFAR_CLASSES
 
 PATTERN_BANK = 32
 PATTERNS_PER_SAMPLE = 4
@@ -236,13 +237,17 @@ def subset_per_class(dataset, per_class, seed):
 
 def split_sizes(ds):
     """(train, test) sample counts of a dataset config section, known
-    before either split is built."""
+    before either split is built; ValueError for a CIFAR-10
+    subset_per_class outside [0, CIFAR_PER_CLASS]."""
     if ds["type"] == "synthetic":
         return (ds["classes"] * ds["per_class"],
                 ds["classes"] * ds["test_per_class"])
-    train = (CIFAR_CLASSES * ds["subset_per_class"]
-             if "subset_per_class" in ds else CIFAR_TRAIN_SIZE)
-    return train, CIFAR_TEST_SIZE
+    per_class = ds.get("subset_per_class", CIFAR_PER_CLASS)
+    if not 0 <= per_class <= CIFAR_PER_CLASS:
+        raise ValueError(
+            f"subset_per_class must be between 0 and {CIFAR_PER_CLASS}, "
+            f"CIFAR-10's training images per class, got {per_class}")
+    return CIFAR_CLASSES * per_class, CIFAR_TEST_SIZE
 
 
 def check_eval_counts(num_clients, members_per_client, total_nonmembers,

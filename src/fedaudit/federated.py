@@ -109,7 +109,9 @@ def fedavg_aggregate(client_params, client_sizes):
 
 
 def _accuracy(params, arch, images, labels):
-    batch = 256  # images per forward pass
+    # images per forward pass: the im2col buffers of larger chunks set
+    # the memory peak of training, and are no faster
+    batch = 64
     hits = 0
     for lo in range(0, len(labels), batch):
         logits = nn.forward_batch(params, arch, images[lo:lo + batch])

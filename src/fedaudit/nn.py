@@ -7,10 +7,11 @@ can be pushed through for high-precision checks while training runs in
 float32.
 
 Activations keep their logical NCHW shape, but the conv and maxpool
-kernels store them channels-last: the arrays they return are
-``(N, H, W, C)`` buffers seen through a transposed view.  Every kernel
-accepts either layout and gives the same bits for both, so the layout
-only changes how fast the copies between layers run.
+kernels store them channels-first: the arrays they return are
+``(C, N, H, W)`` buffers seen through a transposed view, and ReLU's
+elementwise ops keep that layout.  So conv, ReLU and maxpool hand each
+other contiguous channel planes, and the conv GEMMs run on the
+transposed im2col matrix ``(C*9, N*H*W)``.
 
 The :class:`Model` facade is the only surface attacks are allowed to use:
 it answers image -> class-probability queries and counts them.
@@ -165,35 +166,33 @@ def init_params(arch: ArchitectureDescriptor, seed: int) -> list:
 def _conv_forward(x, w, b):
     n, c, h, wd = x.shape
     out_c = w.shape[0]
-    xp = np.zeros((n, h + 2, wd + 2, c), dtype=x.dtype)
-    xp[:, 1:-1, 1:-1] = x.transpose(0, 2, 3, 1)
-    # im2col: one row per (n, y, x) position, columns ordered (c, di, dj)
-    cols = np.empty((n, h, wd, c, 3, 3), dtype=xp.dtype)
+    xp = np.zeros((c, n, h + 2, wd + 2), dtype=x.dtype)
+    xp[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    # im2col, transposed: rows ordered (c, di, dj), one column per (n, y, x)
+    cols = np.empty((c, 3, 3, n, h, wd), dtype=xp.dtype)
     for di in range(3):
         for dj in range(3):
-            cols[..., di, dj] = xp[:, di:di + h, dj:dj + wd]
-    mat = cols.reshape(n * h * wd, c * 9)
-    y = mat @ w.reshape(out_c, c * 9).T + b
-    y = y.reshape(n, h, wd, out_c).transpose(0, 3, 1, 2)
-    return y, (mat, x.shape)
+            cols[:, di, dj] = xp[:, :, di:di + h, dj:dj + wd]
+    cols = cols.reshape(c * 9, n * h * wd)
+    y = w.reshape(out_c, c * 9) @ cols + b[:, None]
+    return y.reshape(out_c, n, h, wd).transpose(1, 0, 2, 3), (cols, x.shape)
 
 
 def _conv_backward(dy, w, cache, input_grad=True):
     """(dx, dW, db); dx is None when input_grad is false."""
-    mat, x_shape = cache
-    n, c, h, wd = x_shape
+    cols, (n, c, h, wd) = cache
     out_c = w.shape[0]
-    dym = dy.transpose(0, 2, 3, 1).reshape(n * h * wd, out_c)
-    dw = (dym.T @ mat).reshape(out_c, c, 3, 3)
-    db = dym.sum(axis=0)
+    dyc = dy.transpose(1, 0, 2, 3).reshape(out_c, n * h * wd)
+    dw = (dyc @ cols.T).reshape(out_c, c, 3, 3)
+    db = dyc.sum(axis=1)
     if not input_grad:
         return None, dw, db
-    dcols = (dym @ w.reshape(out_c, c * 9)).reshape(n, h, wd, c, 3, 3)
-    dxp = np.zeros((n, h + 2, wd + 2, c), dtype=dcols.dtype)
+    dcols = (w.reshape(out_c, c * 9).T @ dyc).reshape(c, 3, 3, n, h, wd)
+    dxp = np.zeros((c, n, h + 2, wd + 2), dtype=dcols.dtype)
     for di in range(3):
         for dj in range(3):
-            dxp[:, di:di + h, dj:dj + wd] += dcols[..., di, dj]
-    return dxp[:, 1:-1, 1:-1].transpose(0, 3, 1, 2), dw, db
+            dxp[:, :, di:di + h, dj:dj + wd] += dcols[:, di, dj]
+    return dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3), dw, db
 
 
 def _bits(a):
@@ -214,10 +213,10 @@ def _maxpool_forward(x):
     """2x2 max pool; idx is the window position of each maximum, the
     first one on ties (as argmax: -0.0 ties 0.0, the first NaN wins)."""
     n, c, h, w = x.shape
-    # window position k as the contiguous channels-last block wins[k]
+    # window position k as the contiguous channels-first block wins[k]
     wins = np.ascontiguousarray(
-        x.transpose(0, 2, 3, 1).reshape(n, h // 2, 2, w // 2, 2, c)
-        .transpose(2, 4, 0, 1, 3, 5)).reshape(4, n, h // 2, w // 2, c)
+        x.transpose(1, 0, 2, 3).reshape(c, n, h // 2, 2, w // 2, 2)
+        .transpose(3, 5, 0, 1, 2, 4)).reshape(4, c, n, h // 2, w // 2)
     y = wins[0]
     idx = np.zeros(y.shape, dtype=np.uint8)
     for k in range(1, 4):
@@ -225,18 +224,18 @@ def _maxpool_forward(x):
         better = (y == y) & ~(wins[k] <= y)
         y = _select(better, y, wins[k])
         idx = np.maximum(idx, better * np.uint8(k))  # k beats earlier picks
-    return y.transpose(0, 3, 1, 2), (idx.transpose(0, 3, 1, 2), x.shape)
+    return y.transpose(1, 0, 2, 3), (idx.transpose(1, 0, 2, 3), x.shape)
 
 
 def _maxpool_backward(dy, cache):
     idx, (n, c, h, w) = cache
-    dy_bits = _bits(np.ascontiguousarray(dy.transpose(0, 2, 3, 1)))
-    idx = idx.transpose(0, 2, 3, 1)
-    dx = np.empty((n, h // 2, 2, w // 2, 2, c), dtype=dy_bits.dtype)
+    dy_bits = _bits(np.ascontiguousarray(dy.transpose(1, 0, 2, 3)))
+    idx = idx.transpose(1, 0, 2, 3)
+    dx = np.empty((c, n, h // 2, 2, w // 2, 2), dtype=dy_bits.dtype)
     for k in range(4):
         # dy at the chosen window position k = 2 * row + col, +0.0 elsewhere
-        np.multiply(dy_bits, idx == k, out=dx[:, :, k // 2, :, k % 2])
-    return dx.reshape(n, h, w, c).view(dy.dtype).transpose(0, 3, 1, 2)
+        np.multiply(dy_bits, idx == k, out=dx[:, :, :, k // 2, :, k % 2])
+    return dx.reshape(c, n, h, w).view(dy.dtype).transpose(1, 0, 2, 3)
 
 
 def _softmax(logits):

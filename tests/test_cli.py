@@ -325,6 +325,54 @@ class TestOverridesAndErrors:
         assert not os.path.exists(os.path.join(out, "roc.csv"))
         assert not os.path.exists(os.path.join(out, "summary.txt"))
 
+    def test_report_refuses_ablation_from_another_config(
+            self, tmp_path, capsys, small_checkpoint):
+        cfg = write_config(tmp_path)
+        out = str(tmp_path / "run")
+        audit = ["--config", cfg, "--out", out,
+                 "--checkpoint", small_checkpoint]
+        # ablate at the config's 2 erosion steps, then attack at 3
+        assert cli.main(["ablate", *audit]) == 0
+        assert cli.main(["attack", *audit, "--erosion-steps", "3"]) == 0
+        hashes = {}
+        for name in ("ablation.csv", "scores.csv"):
+            with open(os.path.join(out, name)) as fh:
+                hashes[name] = next(line.strip().partition("=")[2]
+                                    for line in fh
+                                    if line.startswith("# config_hash="))
+        assert hashes["ablation.csv"] != hashes["scores.csv"]
+        capsys.readouterr()
+        assert cli.main(["report", "--out", out]) == 1
+        err = capsys.readouterr().err
+        for name, value in hashes.items():
+            assert os.path.join(out, name) in err
+            assert value in err
+        assert not os.path.exists(os.path.join(out, "roc.csv"))
+        assert not os.path.exists(os.path.join(out, "summary.txt"))
+        # an ablation under the attack's config is accepted
+        assert cli.main(["ablate", *audit, "--erosion-steps", "3"]) == 0
+        assert cli.main(["report", "--out", out]) == 0
+        assert "upsampling ablation" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [("seed", 1),
+                                            ("config_hash", "0" * 16)])
+    def test_report_refuses_report_json_from_another_run(
+            self, tmp_path, capsys, small_checkpoint, key, value):
+        out = tmp_path / "run"
+        assert cli.main(["attack", "--config", write_config(tmp_path),
+                         "--out", str(out),
+                         "--checkpoint", small_checkpoint]) == 0
+        report = json.loads((out / "report.json").read_text())
+        want = report["metadata"][key]
+        report["metadata"][key] = value
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == 1
+        assert (f"{out / 'report.json'} has {key} {value}, "
+                f"{out / 'scores.csv'} has {key} {want}"
+                in capsys.readouterr().err)
+        assert not (out / "roc.csv").exists()
+
     @pytest.mark.parametrize("other_config, fragments", [
         ({"dataset": {"dims": [3, 8, 8]}},
          ["trained with dataset", '"dims": [3, 16, 16]',
@@ -411,7 +459,11 @@ class TestCifarRoute:
          "fed.num_clients must be <= 0, the training split size"),
         ({"eval": {"members_per_client": 5001, "total_nonmembers": 10002}},
          "eval.total_nonmembers must be <= 10000, the test split size"),
-    ], ids=["empty_subset", "nonmembers_beyond_test_split"])
+        ({"dataset": {"subset_per_class": 5001}},
+         "dataset.subset_per_class must be between 0 and 5000, CIFAR-10's "
+         "training images per class, got 5001"),
+    ], ids=["empty_subset", "nonmembers_beyond_test_split",
+            "subset_beyond_cifar"])
     def test_data_size_from_config_exits_2(self, tmp_path, data_root,
                                            capsys, extra, fragment):
         cfg = json.loads(json.dumps(self.CIFAR))
@@ -421,6 +473,17 @@ class TestCifarRoute:
         assert cli.main(["train", "--config", write_config(tmp_path, cfg),
                          "--out", str(out)]) == 2
         assert fragment in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_error_leaves_no_output_dir(self, tmp_path, data_root,
+                                             capsys):
+        # within CIFAR-10's bound, beyond the 10 images per class on disk
+        cfg = json.loads(json.dumps(self.CIFAR))
+        cfg["dataset"]["subset_per_class"] = 11
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 1
+        assert "class 0 has 10 samples, need 11" in capsys.readouterr().err
         assert not out.exists()
 
 

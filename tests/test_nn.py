@@ -551,7 +551,8 @@ def test_init_params_matches_reference(make_arch, seed):
 
 
 # ---------------------------------------------------------------------------
-# layer kernels against frozen copies of the original im2col/argmax kernels
+# layer kernels against frozen copies of the original im2col/argmax kernels,
+# and of the channels-first conv backward that replaced the original one
 
 
 def ref_conv_forward(x, w, b):
@@ -583,6 +584,46 @@ def ref_conv_backward(dy, w, cache):
             dxp[:, :, di:di + h, dj:dj + wd] += \
                 dcols[:, :, :, :, di, dj].transpose(0, 3, 1, 2)
     return dxp[:, :, 1:-1, 1:-1], dw, db
+
+
+def ref_conv_backward_cf(dy, w, cache):
+    """Frozen copy of the channels-first conv backward: cache holds the
+    contiguous transposed im2col matrix (C*9, N*H*W)."""
+    cols, x_shape = cache
+    n, c, h, wd = x_shape
+    out_c = w.shape[0]
+    dyc = dy.transpose(1, 0, 2, 3).reshape(out_c, n * h * wd)
+    dw = (dyc @ cols.T).reshape(out_c, c, 3, 3)
+    db = dyc.sum(axis=1)
+    dcols = (w.reshape(out_c, c * 9).T @ dyc).reshape(c, 3, 3, n, h, wd)
+    dxp = np.zeros((c, n, h + 2, wd + 2), dtype=dcols.dtype)
+    for di in range(3):
+        for dj in range(3):
+            dxp[:, :, di:di + h, dj:dj + wd] += dcols[:, di, dj]
+    return dxp[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3), dw, db
+
+
+def cf_backward(dy, w, cache):
+    """ref_conv_backward_cf on the cache of ref_conv_forward."""
+    mat, x_shape = cache
+    return ref_conv_backward_cf(dy, w, (np.ascontiguousarray(mat.T), x_shape))
+
+
+def exact_conv_backward(dy, w, cache):
+    """ref_conv_backward with dW and db summed in float64 from the same
+    float32 operands: the yardstick for their rounding error."""
+    mat, x_shape = cache
+    dx = ref_conv_backward(dy, w, cache)[0]
+    _, dw, db = ref_conv_backward(dy.astype(np.float64), w,
+                                  (mat.astype(np.float64), x_shape))
+    return dx, dw, db
+
+
+def assert_no_farther(got, old, exact):
+    """got's largest error against exact is no larger than old's."""
+    def err(a):
+        return np.max(np.abs(a.astype(np.float64) - exact))
+    assert err(got) <= err(old)
 
 
 def ref_maxpool_forward(x):
@@ -641,15 +682,37 @@ class TestLayerKernels:
         y, cache = nn._conv_forward(x, wt, b)
         y_ref, cache_ref = ref_conv_forward(x, wt, b)
         assert_same_bits(y, y_ref)
-        assert_same_bits(cache[0], cache_ref[0])
+        # the original im2col matrix, stored transposed
+        assert_same_bits(cache[0].T, cache_ref[0])
         assert cache[1] == cache_ref[1]
-        for got, want in zip(nn._conv_backward(dy, wt, cache),
-                             ref_conv_backward(dy, wt, cache_ref)):
-            assert_same_bits(got, want)
+        got = nn._conv_backward(dy, wt, cache)
+        want = cf_backward(dy, wt, cache_ref)
+        old = ref_conv_backward(dy, wt, cache_ref)
+        exact = exact_conv_backward(dy, wt, cache_ref)
+        assert_same_bits(got[0], old[0])  # dx keeps the original bits
+        for g, r, o, e in zip(got, want, old, exact):
+            assert_same_bits(g, r)
+            assert_no_farther(g, o, e)
         dx, dw, db = nn._conv_backward(dy, wt, cache, input_grad=False)
         assert dx is None
-        assert_same_bits(dw, ref_conv_backward(dy, wt, cache_ref)[1])
-        assert_same_bits(db, ref_conv_backward(dy, wt, cache_ref)[2])
+        assert_same_bits(dw, want[1])
+        assert_same_bits(db, want[2])
+
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("case", CONV_CASES, ids=str)
+    def test_activations_stored_channels_first(self, case, layout):
+        n, c, out_c, h, w = case
+        rng = np.random.default_rng(sum(case))
+        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+        if layout == "channels_last":
+            x = channels_last(x)
+        y, _ = nn._conv_forward(x, rng.standard_normal(
+            (out_c, c, 3, 3)).astype(np.float32), np.zeros(out_c, np.float32))
+        relu = y * (y > 0)
+        pooled, cache = nn._maxpool_forward(relu)
+        dx = nn._maxpool_backward(pooled, cache)
+        for a in (y, relu, pooled, cache[0], dx):
+            assert a.transpose(1, 0, 2, 3).flags.c_contiguous
 
     @pytest.mark.parametrize("fill", ["random", "ties", "zeros",
                                       "signed_zeros"])
@@ -714,17 +777,24 @@ class TestLayerKernels:
         labels = rng.integers(0, 4, size=8)
         loss, grads = nn.loss_and_gradients(params, arch, images, labels)
         ref_loss, ref_grads = reference_loss_and_gradients(
-            params, arch, images, labels)
+            params, arch, images, labels, cf_backward)
+        _, old_grads = reference_loss_and_gradients(
+            params, arch, images, labels, ref_conv_backward)
+        _, exact_grads = reference_loss_and_gradients(
+            params, arch, images, labels, exact_conv_backward)
         assert loss == ref_loss
-        for g, r in zip(grads, ref_grads):
+        for g, r, o, e in zip(grads, ref_grads, old_grads, exact_grads):
             if r is not None:
-                assert_same_bits(g["W"], r["W"])
-                assert_same_bits(g["b"], r["b"])
+                for name in ("W", "b"):
+                    assert_same_bits(g[name], r[name])
+                    assert_no_farther(g[name], o[name], e[name])
 
 
-def reference_loss_and_gradients(params, arch, images, labels):
-    """The original forward/backward with the frozen kernels, computing
-    the input gradient of every layer including the first."""
+def reference_loss_and_gradients(params, arch, images, labels,
+                                 conv_backward):
+    """The original forward/backward with the frozen kernels and the
+    given conv backward, computing the input gradient of every layer
+    including the first."""
     caches, a = [], images
     for layer, p in zip(arch.layers, params):
         kind = layer[0]
@@ -771,6 +841,6 @@ def reference_loss_and_gradients(params, arch, images, labels):
             da = ref_maxpool_backward(da, cache)
         else:
             conv_cache, mask = cache
-            da, grads[i]["W"], grads[i]["b"] = ref_conv_backward(
+            da, grads[i]["W"], grads[i]["b"] = conv_backward(
                 da * mask, params[i]["W"], conv_cache)
     return loss, grads
