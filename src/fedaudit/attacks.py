@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .metrics import read_csv, write_csv
-from .nn import map_workers
 from .tensors import ErosionConfig, erosion_sequence
 
 ATTACK_NAMES = ("resmia", "loss", "entropy")
@@ -35,14 +34,11 @@ class ConfidenceTrace:
     """Model responses along one image's erosion path.
 
     target_probs[k] is the probability of the class predicted on the
-    original image, evaluated on the k-th erosion iterate; max_probs[k]
-    is the top-1 confidence at that iterate (kept for diagnostics, since
-    erosion may flip the argmax).
+    original image, evaluated on the k-th erosion iterate.
     """
 
     predicted_class: int
     target_probs: np.ndarray   # float64, length K+1
-    max_probs: np.ndarray      # float64, length K+1
     initial_probs: np.ndarray  # full probability vector on the original
 
 
@@ -53,7 +49,6 @@ def confidence_trace(model, img, cfg: ErosionConfig) -> ConfidenceTrace:
     toward the lowest class index (numpy argmax convention).
     """
     target = []
-    top = []
     y_star = None
     p0 = None
     for x in erosion_sequence(img, cfg):
@@ -62,10 +57,8 @@ def confidence_trace(model, img, cfg: ErosionConfig) -> ConfidenceTrace:
             y_star = int(p.argmax())
             p0 = p
         target.append(p[y_star])
-        top.append(p.max())
     return ConfidenceTrace(predicted_class=y_star,
                            target_probs=np.array(target),
-                           max_probs=np.array(top),
                            initial_probs=p0)
 
 
@@ -156,19 +149,14 @@ def _score_sample(model, sample, cfg):
                         queries_resmia=cfg.steps + 1)
 
 
-def evaluate_attacks(model, samples, cfg: ErosionConfig, workers=1):
-    """Score every eval sample with all three attacks.
-
-    Records come back ordered by (is_member desc, sample_id) regardless
-    of worker count; scoring is a pure function of the model outputs, so
-    parallel execution (one BLAS thread per worker) changes nothing
-    numerically.
+def evaluate_attacks(model, samples, cfg: ErosionConfig):
+    """Score every eval sample with all three attacks, on the calling
+    thread; records come back ordered by (is_member desc, sample_id).
     """
     members = sum(1 for s in samples if s.is_member)
     if members == 0 or members == len(samples):
         raise ValueError("eval set needs both members and non-members")
-    records = map_workers(lambda s: _score_sample(model, s, cfg), samples,
-                          workers)
+    records = [_score_sample(model, s, cfg) for s in samples]
     records.sort(key=lambda r: (not r.is_member, r.sample_id))
     return records
 

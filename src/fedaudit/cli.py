@@ -128,6 +128,9 @@ def validate_config(cfg):
     """Check cfg by building what the commands build from it, so each
     rule lives once, in the code that consumes the value."""
     _check_types(cfg, _SCHEMA, "")
+    # every numpy generator here is seeded from it, and none takes < 0
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     ds = cfg["dataset"]
     builds = {}
     if ds["type"] == "synthetic":
@@ -298,12 +301,11 @@ def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
             "ratio": statistics.median(probe) / statistics.median(single)}
 
 
-def cmd_attack(cfg, checkpoint, workers=1):
+def cmd_attack(cfg, checkpoint):
     out_dir = cfg["out_dir"]
     model, samples = _open_audit(cfg, checkpoint)
     ero_cfg = erosion_config(cfg)
-    records = attacks.evaluate_attacks(model, samples, ero_cfg,
-                                       workers=workers)
+    records = attacks.evaluate_attacks(model, samples, ero_cfg)
     meta = output_metadata(cfg)
     scores_path = os.path.join(out_dir, "scores.csv")
     attacks.write_scores_csv(scores_path, records, metadata=meta)
@@ -326,14 +328,13 @@ def cmd_attack(cfg, checkpoint, workers=1):
     print(f"report: {report_path}")
 
 
-def cmd_ablate(cfg, checkpoint, workers=1):
+def cmd_ablate(cfg, checkpoint):
     out_dir = cfg["out_dir"]
     model, samples = _open_audit(cfg, checkpoint)
     rows = []
     for mode in ("nearest", "bilinear"):
         ero_cfg = dataclasses.replace(erosion_config(cfg), upsample_mode=mode)
-        records = attacks.evaluate_attacks(model, samples, ero_cfg,
-                                           workers=workers)
+        records = attacks.evaluate_attacks(model, samples, ero_cfg)
         scores = [(r.scores["resmia"], r.is_member) for r in records]
         rows.append((mode, metrics.auc(metrics.roc_curve(scores))))
     path = os.path.join(out_dir, "ablation.csv")
@@ -435,9 +436,6 @@ def build_parser():
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--workers", type=int, default=1,
-                       help="parallel workers (numerics are identical "
-                            "for any value)")
         if checkpoint:
             p.add_argument("--checkpoint", required=True,
                            help="model checkpoint from the train command")
@@ -445,8 +443,12 @@ def build_parser():
                            help="erosion step count override")
         return p
 
-    common(sub.add_parser(
+    train = common(sub.add_parser(
         "train", help="run federated training, write checkpoint and log"))
+    train.add_argument("--workers", type=int, default=nn.fan_out_width(),
+                       help="client training threads (numerics are "
+                            "identical for any value; default: the usable "
+                            "cores, 1 without numpy's scipy-openblas)")
     attack = common(sub.add_parser(
         "attack", help="score the eval set with all attacks"),
         checkpoint=True)
@@ -485,15 +487,15 @@ def main(argv=None) -> int:
         if args.command == "report":
             cmd_report(args.out)
             return EXIT_OK
-        if args.workers < 1:
+        if args.command == "train" and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg = load_config(args.config, _overrides(args))
         if args.command == "train":
             cmd_train(cfg, workers=args.workers)
         elif args.command == "attack":
-            cmd_attack(cfg, args.checkpoint, workers=args.workers)
+            cmd_attack(cfg, args.checkpoint)
         elif args.command == "ablate":
-            cmd_ablate(cfg, args.checkpoint, workers=args.workers)
+            cmd_ablate(cfg, args.checkpoint)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

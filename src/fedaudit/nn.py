@@ -397,6 +397,13 @@ def single_blas_thread():
         set_(before)
 
 
+def fan_out_width():
+    """Threads for a fan-out: the usable cores, or 1 where
+    _blas_thread_api finds no scipy-openblas, since workers there would
+    oversubscribe the cores with that BLAS's own threads."""
+    return 1 if _blas_thread_api() is None else len(os.sched_getaffinity(0))
+
+
 def map_workers(fn, items, workers, first=None):
     """[fn(item) for item in items] on `workers` threads, one of them
     the calling thread, which runs first() before it takes items.
@@ -407,10 +414,12 @@ def map_workers(fn, items, workers, first=None):
     queue, every thread on one BLAS thread, so the results are the same
     for any worker count.  first() never runs on a pool thread: glibc
     gives each thread its own malloc arena, and a large pass there
-    would stay resident in it.  The first error stops the queue.
+    would stay resident in it.  No more threads start than there are
+    items.  The first error stops the queue.
     """
     todo = list(enumerate(items))[::-1]
     results = [None] * len(todo)
+    workers = min(workers, len(todo))
     lock = threading.Lock()
 
     def work(before=None):

@@ -95,7 +95,7 @@ def test_01_sum_and_closed_form_decay_scores_agree():
         steps = int(rng.integers(1, 9))
         probs = rng.random(steps + 1)
         trace = attacks.ConfidenceTrace(
-            predicted_class=0, target_probs=probs, max_probs=probs,
+            predicted_class=0, target_probs=probs,
             initial_probs=np.array([1.0]))
         worst = max(worst, abs(attacks.resmia_score(trace)
                                - attacks.resmia_score_closed(trace)))

@@ -43,7 +43,7 @@ def mean_sensitive_model(classes=3):
 
 def trace_from(probs):
     p = np.asarray(probs, dtype=np.float64)
-    return ConfidenceTrace(predicted_class=0, target_probs=p, max_probs=p,
+    return ConfidenceTrace(predicted_class=0, target_probs=p,
                            initial_probs=np.array([p[0], 1 - p[0]]))
 
 
@@ -57,7 +57,6 @@ class TestConfidenceTrace:
         trace = confidence_trace(model, rand_img(0), ErosionConfig(3))
         assert trace.predicted_class == 0
         assert np.allclose(trace.target_probs, 0.5)
-        assert np.allclose(trace.max_probs, 0.5)
         assert len(trace.target_probs) == 4
 
     def test_exactly_k_plus_one_queries(self):
@@ -73,7 +72,6 @@ class TestConfidenceTrace:
     def test_initial_entry_matches_top_confidence(self):
         model = mean_sensitive_model()
         trace = confidence_trace(model, rand_img(4), ErosionConfig(3))
-        assert trace.target_probs[0] == trace.max_probs[0]
         assert trace.target_probs[0] == trace.initial_probs.max()
 
     def test_real_model_counter_budget(self):
@@ -187,40 +185,6 @@ class TestEvaluateAttacks:
         b = evaluate_attacks(mean_sensitive_model(), self.make_samples(),
                              ErosionConfig(3))
         assert [r.scores for r in a] == [r.scores for r in b]
-
-    def test_worker_count_irrelevant(self):
-        arch = nn.default_architecture(input_shape=(1, 8, 8),
-                                       num_classes=3)
-        samples = self.make_samples()
-        api = nn._blas_thread_api()
-        blas_threads = api[0] if api else lambda: None
-        before = blas_threads()
-        seen = {}  # workers -> BLAS thread counts seen by the queries
-
-        def run(workers):
-            model = nn.Model(arch=arch, params=nn.init_params(arch, 0))
-            query = model.query
-
-            def counted_query(img):
-                seen.setdefault(workers, set()).add(blas_threads())
-                return query(img)
-
-            model.query = counted_query
-            return evaluate_attacks(model, samples, ErosionConfig(3),
-                                    workers=workers)
-
-        def bits(records):
-            return [(r.sample_id, r.client_id, r.is_member, r.queries_resmia,
-                     {k: np.float64(v).tobytes()
-                      for k, v in r.scores.items()})
-                    for r in records]
-
-        a = run(1)
-        for workers in (2, 4):
-            assert bits(run(workers)) == bits(a)
-        assert blas_threads() == before
-        if api:
-            assert seen == {1: {before}, 2: {1}, 4: {1}}
 
     def test_single_class_rejected(self):
         members_only = [s for s in self.make_samples() if s.is_member]

@@ -140,14 +140,20 @@ class TestDeterminism:
             outs.append(open(os.path.join(out, "model.ckpt"), "rb").read())
         assert outs[0] == outs[1]
 
-    def test_worker_count_does_not_change_scores(self, tmp_path):
-        cfg, out_a, ckpt = run_pipeline(tmp_path, out_name="a")
-        out_b = str(tmp_path / "b")
-        assert cli.main(["attack", "--config", cfg, "--out", out_b,
-                        "--checkpoint", ckpt, "--workers", "3"]) == 0
-        a = open(os.path.join(out_a, "scores.csv"), "rb").read()
-        b = open(os.path.join(out_b, "scores.csv"), "rb").read()
-        assert a == b
+    def test_default_workers_write_the_one_worker_bytes(self, tmp_path):
+        cfg = write_config(tmp_path)
+        outs = {}
+        for name, flags in (("default", []), ("one", ["--workers", "1"])):
+            out = tmp_path / name
+            assert cli.main(["train", "--config", cfg, "--out", str(out),
+                             *flags]) == 0
+            outs[name] = [(out / f).read_bytes()
+                          for f in ("model.ckpt", "training_log.csv")]
+        assert outs["default"] == outs["one"]
+
+    def test_train_workers_default_to_fan_out_width(self, monkeypatch):
+        monkeypatch.setattr(nn, "fan_out_width", lambda: 3)
+        assert cli.build_parser().parse_args(["train"]).workers == 3
 
     def test_seed_override_changes_scores(self, tmp_path):
         cfg, out_a, _ = run_pipeline(tmp_path, out_name="a")
@@ -187,6 +193,7 @@ class TestOverridesAndErrors:
         ({"erosion": {"steps": 5}}, "pool_factor**steps = 2**5 does not"),
         ({"erosion": {"steps": 10**9}}, "2**1000000000 does not divide"),
         ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": -1}, "config error: seed must be >= 0, got -1"),
         ({"fed": {"batch_size": False}}, "fed.batch_size must be an integer"),
         ({"fed": {"lr": True}}, "fed.lr must be a number"),
         ({"erosion": {"step": 5}}, "unknown config key erosion.step"),
@@ -226,8 +233,8 @@ class TestOverridesAndErrors:
          "eval.members_per_client must be <= 10, the smallest client "
          "shard, got 11"),
     ], ids=["rounds", "lr", "pool_factor", "steps_zero", "steps_too_many",
-            "huge_steps", "seed_bool", "batch_size_bool", "lr_bool",
-            "unknown_key", "unknown_section", "dims_length",
+            "huge_steps", "seed_bool", "seed_negative", "batch_size_bool",
+            "lr_bool", "unknown_key", "unknown_section", "dims_length",
             "channel_type", "eval_unbalanced", "eval_empty",
             "arch_zero_channels", "arch_negative_width",
             "arch_odd_maxpool", "template_strength_length", "one_class",
@@ -246,21 +253,24 @@ class TestOverridesAndErrors:
         ("attack", ["--erosion-steps", "5"], "does not divide"),
         ("ablate", ["--erosion-steps", "-1"], "erosion.steps must be >= 1"),
         ("train", ["--workers", "0"], "--workers must be >= 1"),
-        ("attack", ["--workers", "-3"], "--workers must be >= 1"),
+        ("train", ["--seed", "-1"], "config error: seed must be >= 0"),
     ], ids=["steps_zero", "steps_too_many", "steps_negative", "workers_zero",
-            "workers_negative"])
+            "seed_negative"])
     def test_bad_flag_exits_2(self, tmp_path, capsys, command, flags,
                               fragment):
+        out = tmp_path / "run"
         argv = [command, "--config", write_config(tmp_path),
-                "--out", str(tmp_path / "run"), *flags]
+                "--out", str(out), *flags]
         if command != "train":
             argv += ["--checkpoint", str(tmp_path / "missing.ckpt")]
         assert cli.main(argv) == 2
         assert fragment in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--erosion-steps"), ("train", "--upsample"),
-        ("ablate", "--upsample")])
+        ("ablate", "--upsample"), ("attack", "--workers"),
+        ("ablate", "--workers")])
     def test_flag_not_read_by_command_rejected(self, tmp_path, capsys,
                                                command, flag):
         argv = [command, "--config", write_config(tmp_path), flag, "2"]

@@ -458,3 +458,30 @@ class TestMapWorkers:
         with pytest.raises(RuntimeError, match="boom"):
             nn.map_workers(fn, range(100), workers, first=first)
         assert len(ran) < 10
+
+    def test_no_more_threads_than_items(self, monkeypatch):
+        pools = []
+        real = nn.ThreadPoolExecutor
+
+        def pool(max_workers):
+            pools.append(max_workers)
+            return real(max_workers)
+
+        monkeypatch.setattr(nn, "ThreadPoolExecutor", pool)
+        assert nn.map_workers(lambda x: x, range(3), 64) == [0, 1, 2]
+        # the caller is the third thread
+        assert pools == [2]
+        assert nn.map_workers(lambda x: x, [], 64) == []
+        assert pools == [2]
+
+
+class TestFanOutWidth:
+    def test_usable_cores_with_scipy_openblas(self, monkeypatch):
+        monkeypatch.setattr(nn, "_blas_thread_api", lambda: (None, None))
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert nn.fan_out_width() == 3
+
+    def test_one_without_scipy_openblas(self, monkeypatch):
+        monkeypatch.setattr(nn, "_blas_thread_api", lambda: None)
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert nn.fan_out_width() == 1
