@@ -441,6 +441,8 @@ def build_parser():
                            help="model checkpoint from the train command")
             p.add_argument("--erosion-steps", type=int,
                            help="erosion step count override")
+            p.add_argument("--upsample", choices=["nearest", "bilinear"],
+                           help="upsampling mode override")
         return p
 
     train = common(sub.add_parser(
@@ -449,11 +451,9 @@ def build_parser():
                        help="client training threads (numerics are "
                             "identical for any value; default: the usable "
                             "cores, 1 without numpy's scipy-openblas)")
-    attack = common(sub.add_parser(
+    common(sub.add_parser(
         "attack", help="score the eval set with all attacks"),
         checkpoint=True)
-    attack.add_argument("--upsample", choices=["nearest", "bilinear"],
-                        help="upsampling mode override")
     common(sub.add_parser(
         "ablate", help="compare nearest vs bilinear upsampling"),
         checkpoint=True)

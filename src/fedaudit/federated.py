@@ -124,12 +124,12 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
     """Full FedAvg loop; returns (global params, per-round log rows).
 
     Log rows: dicts with round, train_acc, test_acc, mean_client_loss.
-    Client training fans out across threads when workers > 1, each
-    with one BLAS thread; numerics are identical for any worker count
-    because clients are independent.  Each round's fan-out also
-    carries the accuracy pass of the previous round's global params,
-    on the calling thread; the final params are measured after the
-    last round.
+    Client training fans out across threads when workers > 1, the same
+    threads every round, each with one BLAS thread; numerics are
+    identical for any worker count because clients are independent.
+    Each round's fan-out also carries the accuracy pass of the previous
+    round's global params, on the calling thread; the final params are
+    measured after the last round.
     """
     shards = partition(dataset, cfg.num_clients, cfg.seed)
     sizes = [len(s.labels) for s in shards]
@@ -148,13 +148,14 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
         })
 
     measure = None
-    for rnd in range(cfg.rounds):
-        def fit(shard, rnd=rnd, params=params):
-            return local_train(params, arch, shard, cfg, round_idx=rnd)
-        results = nn.map_workers(fit, shards, workers, first=measure)
-        params = fedavg_aggregate([r[0] for r in results], sizes)
-        measure = functools.partial(log_round, rnd, params,
-                                    [r[1] for r in results])
+    with nn.fan_out(workers) as map_clients:
+        for rnd in range(cfg.rounds):
+            def fit(shard, rnd=rnd, params=params):
+                return local_train(params, arch, shard, cfg, round_idx=rnd)
+            results = map_clients(fit, shards, first=measure)
+            params = fedavg_aggregate([r[0] for r in results], sizes)
+            measure = functools.partial(log_round, rnd, params,
+                                        [r[1] for r in results])
     if measure is not None:
         measure()
     return params, log

@@ -10,6 +10,7 @@ suite (a few minutes total).
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ def desk_runs(tmp_path_factory):
         with open(os.path.join(out, "training_log.csv")) as fh:
             rows = [r for r in csv.DictReader(
                 line for line in fh if not line.startswith("# "))]
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = json.loads(Path(out, "report.json").read_text())
         with open(os.path.join(out, "ablation.csv")) as fh:
             ablation = {r["upsample_mode"]: float(r["auc_resmia"])
                         for r in csv.DictReader(
@@ -268,7 +269,7 @@ def test_10_erosion_probe_overhead_ratio(desk_runs):
     assert cli.main(["attack", "--out", out, "--seed", str(SEEDS[0]),
                      "--checkpoint", run["ckpt"],
                      "--erosion-steps", "5"]) == 0
-    timing = json.load(open(os.path.join(out, "report.json")))["timing"]
+    timing = json.loads(Path(out, "report.json").read_text())["timing"]
     ratio = timing["ratio"]
     verdict("5-step probe costs 4x-8x a single forward pass",
             4.0 <= ratio <= 8.0, f"ratio = {ratio:.2f}x")
@@ -279,8 +280,8 @@ def test_11_identical_config_reproduces_scores_byte_for_byte(desk_runs):
     out = os.path.join(run["out"], "repeat")
     assert cli.main(["attack", "--out", out, "--seed", str(SEEDS[0]),
                      "--checkpoint", run["ckpt"]]) == 0
-    first = open(os.path.join(run["out"], "scores.csv"), "rb").read()
-    second = open(os.path.join(out, "scores.csv"), "rb").read()
+    first = Path(run["out"], "scores.csv").read_bytes()
+    second = Path(out, "scores.csv").read_bytes()
     verdict("rerunning the attack reproduces scores.csv byte-for-byte",
             first == second,
             f"{len(first)} bytes compared")

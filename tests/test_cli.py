@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestPipeline:
         out = str(tmp_path / "run")
         assert cli.main(["train", "--config", cfg, "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "model.ckpt"))
-        log = open(os.path.join(out, "training_log.csv")).read()
+        log = Path(out, "training_log.csv").read_text()
         assert "# seed=0" in log
         assert "# config_hash=" in log
         # header plus one row per round plus metadata lines
@@ -84,10 +85,10 @@ class TestPipeline:
 
     def test_attack_writes_scores_and_report(self, tmp_path):
         _, out, _ = run_pipeline(tmp_path)
-        scores = open(os.path.join(out, "scores.csv")).read()
+        scores = Path(out, "scores.csv").read_text()
         # 8 members + 8 non-members, one row each, plus header and metadata
         assert scores.count("\n") == 2 + 1 + 16
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = json.loads(Path(out, "report.json").read_text())
         assert set(report["attacks"]) == {"resmia", "loss", "entropy"}
         assert report["query_counts"] == {
             "resmia": 3, "loss": 1, "entropy": 1}
@@ -101,7 +102,7 @@ class TestPipeline:
         assert "attack performance" in text
         assert "query budget" in text
         assert os.path.exists(os.path.join(out, "summary.txt"))
-        roc = open(os.path.join(out, "roc.csv")).read()
+        roc = Path(out, "roc.csv").read_text()
         assert "fpr" in roc and "resmia" in roc
 
     def test_ablate_writes_both_modes(self, tmp_path):
@@ -109,7 +110,7 @@ class TestPipeline:
         assert cli.main(["ablate", "--config", cfg, "--out", out,
                         "--checkpoint", ckpt]) == 0
         rows = [line for line in
-                open(os.path.join(out, "ablation.csv"))
+                Path(out, "ablation.csv").read_text().splitlines()
                 if not line.startswith("# ")]
         assert rows[0].strip() == "upsample_mode,auc_resmia"
         modes = [row.split(",")[0] for row in rows[1:]]
@@ -127,8 +128,8 @@ class TestDeterminism:
         out_b = str(tmp_path / "b")
         assert cli.main(["attack", "--config", cfg, "--out", out_b,
                         "--checkpoint", ckpt]) == 0
-        a = open(os.path.join(out_a, "scores.csv"), "rb").read()
-        b = open(os.path.join(out_b, "scores.csv"), "rb").read()
+        a = Path(out_a, "scores.csv").read_bytes()
+        b = Path(out_b, "scores.csv").read_bytes()
         assert a == b
 
     def test_retrained_checkpoint_byte_identical(self, tmp_path):
@@ -137,7 +138,7 @@ class TestDeterminism:
         for name in ("a", "b"):
             out = str(tmp_path / name)
             assert cli.main(["train", "--config", cfg, "--out", out]) == 0
-            outs.append(open(os.path.join(out, "model.ckpt"), "rb").read())
+            outs.append(Path(out, "model.ckpt").read_bytes())
         assert outs[0] == outs[1]
 
     def test_default_workers_write_the_one_worker_bytes(self, tmp_path):
@@ -163,8 +164,8 @@ class TestDeterminism:
         ckpt_b = os.path.join(out_b, "model.ckpt")
         assert cli.main(["attack", "--config", cfg, "--out", out_b,
                         "--seed", "5", "--checkpoint", ckpt_b]) == 0
-        a = open(os.path.join(out_a, "scores.csv")).read()
-        b = open(os.path.join(out_b, "scores.csv")).read()
+        a = Path(out_a, "scores.csv").read_text()
+        b = Path(out_b, "scores.csv").read_text()
         assert a != b
 
 
@@ -173,10 +174,38 @@ class TestOverridesAndErrors:
         _, out, _ = run_pipeline(
             tmp_path, attack_flags=("--erosion-steps", "4",
                                     "--upsample", "bilinear"))
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = json.loads(Path(out, "report.json").read_text())
         assert report["metadata"]["erosion_steps"] == 4
         assert report["metadata"]["upsample_mode"] == "bilinear"
         assert report["query_counts"]["resmia"] == 5
+
+    def test_flag_only_bilinear_ablate_renders_in_report(self, tmp_path,
+                                                         capsys):
+        cfg, out, ckpt = run_pipeline(
+            tmp_path, attack_flags=("--upsample", "bilinear"))
+        assert cli.main(["ablate", "--config", cfg, "--out", out,
+                         "--checkpoint", ckpt, "--upsample", "bilinear"]) == 0
+        assert cli.main(["report", "--out", out]) == 0
+        assert "upsampling ablation" in capsys.readouterr().out
+
+    def test_ablate_upsample_flag_changes_only_the_config_hash(
+            self, tmp_path, small_checkpoint):
+        cfg = write_config(tmp_path)
+
+        def ablation(*flags):
+            out = tmp_path / "-".join(flags or ["none"])
+            assert cli.main(["ablate", "--config", cfg, "--out", str(out),
+                             "--checkpoint", small_checkpoint, *flags]) == 0
+            return (out / "ablation.csv").read_text().splitlines()
+
+        default = ablation()
+        assert ablation("--upsample", "nearest") == default  # the default
+        # ablate runs both modes anyway: only the recorded config differs
+        bilinear = ablation("--upsample", "bilinear")
+        assert len(bilinear) == len(default)
+        changed = [a for a, b in zip(bilinear, default) if a != b]
+        assert [line.partition("=")[0] for line in changed] == [
+            "# config_hash"]
 
     def test_invalid_json_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -269,8 +298,7 @@ class TestOverridesAndErrors:
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--erosion-steps"), ("train", "--upsample"),
-        ("ablate", "--upsample"), ("attack", "--workers"),
-        ("ablate", "--workers")])
+        ("attack", "--workers"), ("ablate", "--workers")])
     def test_flag_not_read_by_command_rejected(self, tmp_path, capsys,
                                                command, flag):
         argv = [command, "--config", write_config(tmp_path), flag, "2"]
@@ -442,7 +470,7 @@ class TestCifarRoute:
 
     def test_train_and_attack_through_data_root(self, tmp_path, data_root):
         _, out, _ = run_pipeline(tmp_path, config_extra=self.CIFAR)
-        report = json.load(open(os.path.join(out, "report.json")))
+        report = json.loads(Path(out, "report.json").read_text())
         assert len(report["per_client_auc"]) == 2
 
     def test_subset_per_class_trains(self, tmp_path, data_root):

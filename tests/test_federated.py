@@ -405,18 +405,24 @@ class TestSingleBlasThread:
         assert seen == [2] * 6
 
 
+def map_workers(fn, items, workers, first=None):
+    """One map call in a fan-out of its own."""
+    with nn.fan_out(workers) as run:
+        return run(fn, items, first)
+
+
 class TestMapWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3, 9])
     def test_results_in_item_order(self, workers):
-        assert nn.map_workers(lambda x: x * x, range(7), workers) == [
+        assert map_workers(lambda x: x * x, range(7), workers) == [
             x * x for x in range(7)]
 
     def test_one_worker_runs_first_then_items_inline(self):
         calls = []
-        nn.map_workers(lambda x: calls.append((x, threading.get_ident())),
-                       range(3), 1,
-                       first=lambda: calls.append(("first",
-                                                   threading.get_ident())))
+        map_workers(lambda x: calls.append((x, threading.get_ident())),
+                    range(3), 1,
+                    first=lambda: calls.append(("first",
+                                                threading.get_ident())))
         me = threading.get_ident()
         assert calls == [("first", me), (0, me), (1, me), (2, me)]
 
@@ -434,7 +440,7 @@ class TestMapWorkers:
             assert taken.wait(10)
             item_threads.append(("first", threading.get_ident()))
 
-        assert nn.map_workers(fn, range(4), 2, first=first) == [0, 1, 2, 3]
+        assert map_workers(fn, range(4), 2, first=first) == [0, 1, 2, 3]
         me = threading.get_ident()
         assert ("first", me) in item_threads
         assert item_threads[0] != me
@@ -456,23 +462,44 @@ class TestMapWorkers:
                 raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            nn.map_workers(fn, range(100), workers, first=first)
+            map_workers(fn, range(100), workers, first=first)
         assert len(ran) < 10
 
     def test_no_more_threads_than_items(self, monkeypatch):
-        pools = []
-        real = nn.ThreadPoolExecutor
+        jobs = []
 
-        def pool(max_workers):
-            pools.append(max_workers)
-            return real(max_workers)
+        class Pool(nn.ThreadPoolExecutor):
+            # the pool starts a thread only for a job no idle one takes
+            def submit(self, *args):
+                jobs.append(args)
+                return super().submit(*args)
 
-        monkeypatch.setattr(nn, "ThreadPoolExecutor", pool)
-        assert nn.map_workers(lambda x: x, range(3), 64) == [0, 1, 2]
-        # the caller is the third thread
-        assert pools == [2]
-        assert nn.map_workers(lambda x: x, [], 64) == []
-        assert pools == [2]
+        monkeypatch.setattr(nn, "ThreadPoolExecutor", Pool)
+        before = threading.active_count()
+        with nn.fan_out(64) as run:
+            assert run(lambda x: x, range(3)) == [0, 1, 2]
+            # the caller is the third thread
+            assert len(jobs) == 2
+            assert run(lambda x: x, []) == []
+            assert len(jobs) == 2
+            assert threading.active_count() - before <= 2
+
+    def test_pool_threads_serve_every_call(self):
+        def pool_threads(run):
+            taken = threading.Event()
+
+            def fn(x):
+                taken.set()
+                return threading.current_thread()
+
+            # the caller waits until a pool thread has taken an item
+            threads = run(fn, range(4), first=lambda: taken.wait(10))
+            return set(threads) - {threading.current_thread()}
+
+        with nn.fan_out(2) as run:
+            first = pool_threads(run)
+            assert len(first) == 1
+            assert pool_threads(run) == first
 
 
 class TestFanOutWidth:

@@ -57,6 +57,16 @@ def finite_difference_grad(arch, params, images, labels, step=1e-3):
     return grad / (2 * step)
 
 
+def assert_matches_finite_differences(arch, params, images, labels,
+                                      step=1e-3):
+    """float64 analytic gradients agree with central differences."""
+    _, grads = nn.loss_and_gradients(params, arch, images, labels)
+    analytic, _ = flatten_params(grads)
+    numeric = finite_difference_grad(arch, params, images, labels, step)
+    denom = np.maximum(np.abs(numeric), 1e-4)
+    assert np.max(np.abs(analytic - numeric) / denom) < 1e-3
+
+
 class TestForward:
     def test_zero_final_layer_gives_uniform(self):
         arch = tiny_arch()
@@ -134,15 +144,35 @@ class TestGradients:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_finite_differences(self, seed):
         arch = tiny_arch()
-        params = params_f64(arch, seed)
         rng = np.random.default_rng(seed + 100)
         images = rng.random((3, 2, 4, 4))
-        labels = rng.integers(0, 3, size=3)
-        _, grads = nn.loss_and_gradients(params, arch, images, labels)
-        analytic, _ = flatten_params(grads)
-        numeric = finite_difference_grad(arch, params, images, labels)
-        denom = np.maximum(np.abs(numeric), 1e-4)
-        assert np.max(np.abs(analytic - numeric) / denom) < 1e-3
+        assert_matches_finite_differences(arch, params_f64(arch, seed),
+                                          images, rng.integers(0, 3, size=3))
+
+    # tiny_arch's one conv never computes an input gradient; here the
+    # second conv's feeds the first conv's weights, once through maxpool
+    # and once from flatten, which hands the conv an NCHW dy
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("middle", [(("maxpool",),), ()],
+                             ids=["pooled", "stacked"])
+    def test_conv_input_gradient_matches_finite_differences(self, middle,
+                                                            batch):
+        arch = nn.ArchitectureDescriptor(
+            input_shape=(2, 4, 6),
+            layers=(("conv", 2),) + middle + (("conv", 3), ("flatten",),
+                                              ("dense", 3)),
+            num_classes=3)
+        rng = np.random.default_rng(batch)
+        params = params_f64(arch, batch)
+        # nonzero biases: with zero ones, a conv input that ReLU zeroed
+        # everywhere puts the next pre-activation on its kink at 0.0; and
+        # a small step, since two ReLU layers leave kinks within 1e-3
+        for p in params:
+            if p is not None:
+                p["b"] = rng.uniform(-0.1, 0.1, p["b"].shape)
+        assert_matches_finite_differences(
+            arch, params, rng.random((batch, 2, 4, 6)),
+            rng.integers(0, 3, size=batch), step=1e-6)
 
     def test_duplicated_batch_same_loss_and_grads(self):
         arch = tiny_arch()
@@ -667,16 +697,22 @@ CONV_CASES = [(32, 3, 8, 32, 32), (32, 8, 16, 16, 16), (1, 3, 8, 32, 32),
               (1, 8, 16, 16, 16), (3, 2, 5, 6, 4)]
 
 
+def conv_case(case):
+    """Seeded float32 (x, W, b, dy) for a CONV_CASES entry."""
+    n, c, out_c, h, w = case
+    rng = np.random.default_rng(sum(case))
+    x = rng.standard_normal((n, c, h, w)).astype(np.float32)
+    wt = rng.standard_normal((out_c, c, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(out_c).astype(np.float32)
+    dy = rng.standard_normal((n, out_c, h, w)).astype(np.float32)
+    return x, wt, b, dy
+
+
 class TestLayerKernels:
     @pytest.mark.parametrize("case", CONV_CASES, ids=str)
     @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
     def test_conv_matches_reference(self, case, layout):
-        n, c, out_c, h, w = case
-        rng = np.random.default_rng(sum(case))
-        x = rng.standard_normal((n, c, h, w)).astype(np.float32)
-        wt = rng.standard_normal((out_c, c, 3, 3)).astype(np.float32)
-        b = rng.standard_normal(out_c).astype(np.float32)
-        dy = rng.standard_normal((n, out_c, h, w)).astype(np.float32)
+        x, wt, b, dy = conv_case(case)
         if layout == "channels_last":
             x, dy = channels_last(x), channels_last(dy)
         y, cache = nn._conv_forward(x, wt, b)
@@ -686,7 +722,8 @@ class TestLayerKernels:
         assert_same_bits(cache[0].T, cache_ref[0])
         assert cache[1] == cache_ref[1]
         got = nn._conv_backward(dy, wt, cache)
-        want = cf_backward(dy, wt, cache_ref)
+        # every dy layout gets the bits of a contiguous NCHW dy
+        want = cf_backward(np.ascontiguousarray(dy), wt, cache_ref)
         old = ref_conv_backward(dy, wt, cache_ref)
         exact = exact_conv_backward(dy, wt, cache_ref)
         assert_same_bits(got[0], old[0])  # dx keeps the original bits
@@ -697,6 +734,17 @@ class TestLayerKernels:
         assert dx is None
         assert_same_bits(dw, want[1])
         assert_same_bits(db, want[2])
+
+    @pytest.mark.parametrize("case", CONV_CASES, ids=str)
+    def test_conv_backward_bits_do_not_depend_on_dy_layout(self, case):
+        x, wt, b, dy = conv_case(case)
+        _, cache = nn._conv_forward(x, wt, b)
+        want = nn._conv_backward(dy, wt, cache)
+        channels_first = np.ascontiguousarray(
+            dy.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        for layout in (channels_last(dy), channels_first):
+            for g, w in zip(nn._conv_backward(layout, wt, cache), want):
+                assert_same_bits(g, w)
 
     @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
     @pytest.mark.parametrize("case", CONV_CASES, ids=str)
