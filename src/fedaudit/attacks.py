@@ -37,7 +37,6 @@ class ConfidenceTrace:
     original image, evaluated on the k-th erosion iterate.
     """
 
-    predicted_class: int
     target_probs: np.ndarray   # float64, length K+1
     initial_probs: np.ndarray  # full probability vector on the original
 
@@ -48,18 +47,11 @@ def confidence_trace(model, img, cfg: ErosionConfig) -> ConfidenceTrace:
     The predicted class is the argmax on the original image, ties broken
     toward the lowest class index (numpy argmax convention).
     """
-    target = []
-    y_star = None
-    p0 = None
-    for x in erosion_sequence(img, cfg):
-        p = np.asarray(model.query(x), dtype=np.float64)
-        if y_star is None:
-            y_star = int(p.argmax())
-            p0 = p
-        target.append(p[y_star])
-    return ConfidenceTrace(predicted_class=y_star,
-                           target_probs=np.array(target),
-                           initial_probs=p0)
+    probs = [np.asarray(model.query(x), dtype=np.float64)
+             for x in erosion_sequence(img, cfg)]
+    y_star = int(probs[0].argmax())
+    return ConfidenceTrace(target_probs=np.array([p[y_star] for p in probs]),
+                           initial_probs=probs[0])
 
 
 def resmia_score(trace: ConfidenceTrace) -> float:

@@ -128,6 +128,10 @@ def validate_config(cfg):
     """Check cfg by building what the commands build from it, so each
     rule lives once, in the code that consumes the value."""
     _check_types(cfg, _SCHEMA, "")
+    want = DEFAULT_CONFIG["schema_version"]
+    if cfg["schema_version"] != want:
+        raise ConfigError(f"schema_version must be {want}, "
+                          f"got {cfg['schema_version']}")
     # every numpy generator here is seeded from it, and none takes < 0
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
@@ -355,6 +359,10 @@ def cmd_report(out_dir):
     records, meta = attacks.read_scores_csv(scores_path)
     with open(report_path) as fh:
         report = metrics.MetricsReport.from_json(fh.read())
+    if report.schema_version != metrics.REPORT_SCHEMA_VERSION:
+        raise ValueError(f"{report_path} has schema_version "
+                         f"{report.schema_version}, not "
+                         f"{metrics.REPORT_SCHEMA_VERSION}")
     ablation_path = os.path.join(out_dir, "ablation.csv")
     inputs, ablation = {report_path: report.metadata}, None
     if os.path.exists(ablation_path):

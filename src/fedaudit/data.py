@@ -276,18 +276,17 @@ def check_eval_counts(num_clients, members_per_client, total_nonmembers,
 
 def build_eval_set(shards, test_set, members_per_client, total_nonmembers,
                    seed):
-    """Client-balanced members vs held-out non-members, deterministic
-    under the seed; see check_eval_counts for the counts it accepts."""
+    """Client-balanced members (shard i is client i's) vs held-out
+    non-members, deterministic under the seed; see check_eval_counts for
+    the counts it accepts."""
     check_eval_counts(len(shards), members_per_client, total_nonmembers,
-                      min((len(s.sample_ids) for s in shards), default=0),
-                      len(test_set))
+                      min(map(len, shards), default=0), len(test_set))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 101]))
     members = []
-    for shard in shards:
-        picks = rng.choice(len(shard.sample_ids), members_per_client,
-                           replace=False)
+    for cid, shard in enumerate(shards):
+        picks = rng.choice(len(shard), members_per_client, replace=False)
         for i in sorted(picks):
-            members.append((int(shard.sample_ids[i]), shard.client_id))
+            members.append((int(shard.ids[i]), cid))
     picks = rng.choice(len(test_set), total_nonmembers, replace=False)
     non_members = [int(test_set.ids[i]) for i in sorted(picks)]
     return EvalSet(members=members, non_members=non_members)

@@ -31,14 +31,6 @@ class FedConfig:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
-@dataclass
-class ClientShard:
-    client_id: int
-    images: np.ndarray
-    labels: np.ndarray
-    sample_ids: np.ndarray    # original dataset ids
-
-
 def check_partition(n, num_clients):
     """Raise unless n samples give each of num_clients shards one."""
     if num_clients > n:
@@ -47,18 +39,14 @@ def check_partition(n, num_clients):
 
 
 def partition(dataset, num_clients, seed):
-    """Disjoint, exhaustive, near-even shards (sizes differ by <= 1)."""
+    """Disjoint, exhaustive, near-even shards (sizes differ by <= 1):
+    client i's shard is the i-th dataset.subset."""
     n = len(dataset)
     check_partition(n, num_clients)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     order = rng.permutation(n)
-    shards = []
-    for cid, idx in enumerate(np.array_split(order, num_clients)):
-        shards.append(ClientShard(client_id=cid,
-                                  images=dataset.images[idx],
-                                  labels=dataset.labels[idx],
-                                  sample_ids=dataset.ids[idx]))
-    return shards
+    return [dataset.subset(idx)
+            for idx in np.array_split(order, num_clients)]
 
 
 def shuffle_seed(master_seed, round_idx, client_id):
@@ -66,16 +54,16 @@ def shuffle_seed(master_seed, round_idx, client_id):
     return np.random.SeedSequence([master_seed, round_idx, client_id])
 
 
-def local_train(global_params, arch, shard, cfg: FedConfig, round_idx=0):
+def local_train(global_params, arch, shard, cfg: FedConfig, round_idx=0,
+                client_id=0):
     """local_epochs of seeded mini-batch SGD from the broadcast params."""
-    if len(shard.labels) == 0:
-        raise ValueError(f"client {shard.client_id} has an empty shard")
-    rng = np.random.default_rng(
-        shuffle_seed(cfg.seed, round_idx, shard.client_id))
+    if len(shard) == 0:
+        raise ValueError(f"client {client_id} has an empty shard")
+    rng = np.random.default_rng(shuffle_seed(cfg.seed, round_idx, client_id))
     params = global_params
     losses = []
     for _ in range(cfg.local_epochs):
-        order = rng.permutation(len(shard.labels))
+        order = rng.permutation(len(shard))
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             loss, grads = nn.loss_and_gradients(
@@ -132,7 +120,7 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
     measured after the last round.
     """
     shards = partition(dataset, cfg.num_clients, cfg.seed)
-    sizes = [len(s.labels) for s in shards]
+    sizes = [len(s) for s in shards]
     params = nn.init_params(arch, cfg.seed)
     log = []
 
@@ -150,9 +138,10 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
     measure = None
     with nn.fan_out(workers) as map_clients:
         for rnd in range(cfg.rounds):
-            def fit(shard, rnd=rnd, params=params):
-                return local_train(params, arch, shard, cfg, round_idx=rnd)
-            results = map_clients(fit, shards, first=measure)
+            def fit(cid, rnd=rnd, params=params):
+                return local_train(params, arch, shards[cid], cfg,
+                                   round_idx=rnd, client_id=cid)
+            results = map_clients(fit, range(len(shards)), first=measure)
             params = fedavg_aggregate([r[0] for r in results], sizes)
             measure = functools.partial(log_round, rnd, params,
                                         [r[1] for r in results])

@@ -37,6 +37,9 @@ CHECKPOINT_MAGIC = b"FEDAUDIT-CKPT v2\n"
 
 # layer kinds whose output goes through a ReLU
 _RELU = ("conv", "dense_relu")
+# arguments after the kind: a width, or none
+_LAYER_ARGS = {"conv": 1, "maxpool": 0, "flatten": 0, "dense_relu": 1,
+               "dense": 1}
 
 
 class ShapeMismatchError(ValueError):
@@ -90,11 +93,16 @@ class ArchitectureDescriptor:
         if min(shapes[0], default=1) < 1:
             raise ValueError(f"input dims must be >= 1, got {shapes[0]}")
         for layer in self.layers:
-            kind = layer[0]
+            kind = layer[0] if layer else None
+            if kind not in _LAYER_ARGS:
+                raise ValueError(f"unknown layer kind in {layer!r}")
+            if len(layer) != 1 + _LAYER_ARGS[kind]:
+                raise ValueError(f"{kind} layer takes {_LAYER_ARGS[kind]} "
+                                 f"argument(s), got {layer!r}")
             cur = shapes[-1]
             if kind in ("conv", "maxpool") and len(cur) != 3:
                 raise ValueError(f"{kind} layer needs a (C, H, W) input")
-            if kind in ("conv", "dense_relu", "dense"):
+            if _LAYER_ARGS[kind]:
                 if not _is_int(layer[1]):
                     raise ValueError(
                         f"{kind} width must be an int, got {layer[1]!r}")
@@ -111,12 +119,10 @@ class ArchitectureDescriptor:
                 shapes.append((c, h // 2, w // 2))
             elif kind == "flatten":
                 shapes.append((int(np.prod(cur)),))
-            elif kind in ("dense_relu", "dense"):
+            else:
                 if len(cur) != 1:
                     raise ValueError("dense layer needs a flat input")
                 shapes.append((layer[1],))
-            else:
-                raise ValueError(f"unknown layer kind {kind!r}")
         return shapes
 
 

@@ -95,9 +95,8 @@ def test_01_sum_and_closed_form_decay_scores_agree():
     for _ in range(1000):
         steps = int(rng.integers(1, 9))
         probs = rng.random(steps + 1)
-        trace = attacks.ConfidenceTrace(
-            predicted_class=0, target_probs=probs,
-            initial_probs=np.array([1.0]))
+        trace = attacks.ConfidenceTrace(target_probs=probs,
+                                        initial_probs=np.array([1.0]))
         worst = max(worst, abs(attacks.resmia_score(trace)
                                - attacks.resmia_score_closed(trace)))
     verdict("decay score sum form == closed form over 1000 traces",

@@ -43,7 +43,7 @@ def mean_sensitive_model(classes=3):
 
 def trace_from(probs):
     p = np.asarray(probs, dtype=np.float64)
-    return ConfidenceTrace(predicted_class=0, target_probs=p,
+    return ConfidenceTrace(target_probs=p,
                            initial_probs=np.array([p[0], 1 - p[0]]))
 
 
@@ -55,7 +55,6 @@ class TestConfidenceTrace:
     def test_constant_model_flat_trace(self):
         model = constant_model([0.5, 0.3, 0.2])
         trace = confidence_trace(model, rand_img(0), ErosionConfig(3))
-        assert trace.predicted_class == 0
         assert np.allclose(trace.target_probs, 0.5)
         assert len(trace.target_probs) == 4
 
@@ -65,9 +64,11 @@ class TestConfidenceTrace:
         assert model.query_count == 4
 
     def test_argmax_tie_breaks_low_index(self):
-        model = constant_model([0.4, 0.4, 0.2])
+        # classes 0 and 1 tie on the original; the eroded image parts them
+        answers = iter([[0.4, 0.4, 0.2], [0.1, 0.7, 0.2]])
+        model = StubModel(lambda img: next(answers))
         trace = confidence_trace(model, rand_img(3), ErosionConfig(1))
-        assert trace.predicted_class == 0
+        assert list(trace.target_probs) == [0.4, 0.1]
 
     def test_initial_entry_matches_top_confidence(self):
         model = mean_sensitive_model()

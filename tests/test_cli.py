@@ -223,6 +223,8 @@ class TestOverridesAndErrors:
         ({"erosion": {"steps": 10**9}}, "2**1000000000 does not divide"),
         ({"seed": True}, "seed must be an integer, got True"),
         ({"seed": -1}, "config error: seed must be >= 0, got -1"),
+        ({"schema_version": 7}, "config error: schema_version must be 1, "
+                                "got 7"),
         ({"fed": {"batch_size": False}}, "fed.batch_size must be an integer"),
         ({"fed": {"lr": True}}, "fed.lr must be a number"),
         ({"erosion": {"step": 5}}, "unknown config key erosion.step"),
@@ -262,7 +264,8 @@ class TestOverridesAndErrors:
          "eval.members_per_client must be <= 10, the smallest client "
          "shard, got 11"),
     ], ids=["rounds", "lr", "pool_factor", "steps_zero", "steps_too_many",
-            "huge_steps", "seed_bool", "seed_negative", "batch_size_bool",
+            "huge_steps", "seed_bool", "seed_negative", "schema_version",
+            "batch_size_bool",
             "lr_bool", "unknown_key", "unknown_section", "dims_length",
             "channel_type", "eval_unbalanced", "eval_empty",
             "arch_zero_channels", "arch_negative_width",
@@ -410,6 +413,22 @@ class TestOverridesAndErrors:
                 f"{out / 'scores.csv'} has {key} {want}"
                 in capsys.readouterr().err)
         assert not (out / "roc.csv").exists()
+
+    def test_report_refuses_another_report_schema_version(
+            self, tmp_path, capsys, small_checkpoint):
+        out = tmp_path / "run"
+        assert cli.main(["attack", "--config", write_config(tmp_path),
+                         "--out", str(out),
+                         "--checkpoint", small_checkpoint]) == 0
+        report = json.loads((out / "report.json").read_text())
+        report["schema_version"] = 99
+        (out / "report.json").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == 1
+        assert (f"{out / 'report.json'} has schema_version 99"
+                in capsys.readouterr().err)
+        assert not (out / "roc.csv").exists()
+        assert not (out / "summary.txt").exists()
 
     @pytest.mark.parametrize("other_config, fragments", [
         ({"dataset": {"dims": [3, 8, 8]}},

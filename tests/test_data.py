@@ -165,9 +165,14 @@ class TestEvalSet:
         member_ids = {sid for sid, _ in es.members}
         shard_ids = set()
         for s in self.shards:
-            shard_ids |= {int(i) for i in s.sample_ids}
+            shard_ids |= {int(i) for i in s.ids}
         assert member_ids <= shard_ids
         assert not set(es.non_members) & shard_ids
+
+    def test_members_carry_their_shard_index_as_client_id(self):
+        es = build_eval_set(self.shards, self.test, 4, 20, seed=1)
+        for sid, cid in es.members:
+            assert sid in set(self.shards[cid].ids.tolist())
 
     def test_deterministic(self):
         a = build_eval_set(self.shards, self.test, 4, 20, seed=1)

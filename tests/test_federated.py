@@ -38,20 +38,20 @@ class TestPartition:
         ds = toy_dataset(50)
         shards = partition(ds, 1, seed=3)
         assert len(shards) == 1
-        assert sorted(shards[0].sample_ids) == list(range(50))
+        assert sorted(shards[0].ids) == list(range(50))
 
     def test_uneven_sizes_and_exhaustive(self):
         shards = partition(toy_dataset(103), 10, seed=1)
         sizes = sorted((len(s.labels) for s in shards), reverse=True)
         assert sizes == [11, 11, 11] + [10] * 7
-        ids = np.concatenate([s.sample_ids for s in shards])
+        ids = np.concatenate([s.ids for s in shards])
         assert sorted(ids) == list(range(103))
 
     def test_disjoint(self):
         shards = partition(toy_dataset(60), 7, seed=2)
         seen = set()
         for s in shards:
-            ids = set(int(i) for i in s.sample_ids)
+            ids = set(int(i) for i in s.ids)
             assert not ids & seen
             seen |= ids
 
@@ -60,11 +60,26 @@ class TestPartition:
         a = partition(ds, 4, seed=9)
         b = partition(ds, 4, seed=9)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.sample_ids, sb.sample_ids)
+            assert np.array_equal(sa.ids, sb.ids)
 
     def test_too_many_clients_rejected(self):
         with pytest.raises(ValueError):
             partition(toy_dataset(5), 6, seed=0)
+
+    def test_shards_are_subsets_of_the_seeded_permutation(self):
+        ds = toy_dataset(23, classes=3)
+        order = np.random.default_rng(
+            np.random.SeedSequence([5, 11])).permutation(23)
+        shards = partition(ds, 4, seed=5)
+        for shard, idx in zip(shards, np.array_split(order, 4),
+                              strict=True):
+            want = ds.subset(idx)
+            assert isinstance(shard, data.LabeledDataset)
+            assert shard.num_classes == 3
+            for field in ("images", "labels", "ids"):
+                got, expected = getattr(shard, field), getattr(want, field)
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestAggregate:
@@ -167,6 +182,14 @@ class TestLocalTrain:
             if p is not None:
                 assert np.array_equal(p["W"], q["W"])
 
+    def test_empty_shard_error_names_the_given_client(self):
+        arch = toy_arch()
+        empty = toy_dataset(4).subset(np.arange(0))
+        with pytest.raises(ValueError,
+                           match="^client 7 has an empty shard$"):
+            federated.local_train(nn.init_params(arch, 0), arch, empty,
+                                  FedConfig(), client_id=7)
+
 
 def train_run(workers, test_set=None, rounds=2):
     """(params as bytes per block, log rows with every value as repr)."""
@@ -190,8 +213,8 @@ def with_empty_shard(monkeypatch, client_id):
     def partition(*args, **kwargs):
         shards = real(*args, **kwargs)
         shard = shards[client_id]
-        shard.images, shard.labels, shard.sample_ids = (
-            shard.images[:0], shard.labels[:0], shard.sample_ids[:0])
+        shard.images, shard.labels, shard.ids = (
+            shard.images[:0], shard.labels[:0], shard.ids[:0])
         return shards
 
     monkeypatch.setattr(federated, "partition", partition)

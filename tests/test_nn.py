@@ -437,6 +437,18 @@ class TestCheckpoint:
         with pytest.raises(nn.CheckpointError, match=message):
             nn.load_checkpoint(path)
 
+    def test_extra_layer_argument_is_a_bad_header(self, tmp_path):
+        path, raw = self.saved(tmp_path)
+
+        def edit(header):
+            assert header["arch"]["layers"][1] == ["maxpool"]
+            header["arch"]["layers"][1].append(5)
+
+        self.rewrite_header(path, raw, edit)
+        with pytest.raises(nn.CheckpointError,
+                           match="maxpool layer takes 0 argument"):
+            nn.load_checkpoint(path)
+
     def test_v1_file_rejected_naming_v2(self, tmp_path):
         path, raw = self.saved(tmp_path)
         path.write_bytes(b"FEDAUDIT-CKPT v1\n"
@@ -535,9 +547,21 @@ class TestArchitectureDescriptor:
          r"dense_relu width must be an int, got 2\.0"),
         ((1, 2, np.int64(2)), (("flatten",), ("dense", True)),
          "dense width must be an int, got True"),
+        ((1, 2, 2), (("maxpool", 5), ("flatten",), ("dense", 3)),
+         r"maxpool layer takes 0 argument\(s\), got \('maxpool', 5\)"),
+        ((1, 2, 2), (("flatten", "x"), ("dense", 3)),
+         r"flatten layer takes 0 argument\(s\), got \('flatten', 'x'\)"),
+        ((1, 2, 2), (("flatten",), ("dense", 3, 7)),
+         r"dense layer takes 1 argument\(s\), got \('dense', 3, 7\)"),
+        ((1, 2, 2), (("conv",), ("flatten",), ("dense", 3)),
+         r"conv layer takes 1 argument\(s\), got \('conv',\)"),
+        ((1, 2, 2), ((), ("flatten",), ("dense", 3)),
+         r"unknown layer kind in \(\)"),
     ], ids=["unknown_kind", "maxpool_odd_dims", "dense_on_image",
             "conv_on_flat", "conv_width_zero", "dense_width_zero",
-            "negative_input_dim", "float_width", "bool_width"])
+            "negative_input_dim", "float_width", "bool_width",
+            "maxpool_with_width", "flatten_with_arg", "dense_two_widths",
+            "conv_without_width", "empty_layer"])
     def test_invalid_layer_chain_rejected(self, input_shape, layers,
                                           message):
         with pytest.raises(ValueError, match=message):
