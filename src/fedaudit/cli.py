@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config error, 1 runtime error.
 """
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -231,7 +232,7 @@ def fed_config(cfg):
 # subcommands
 
 
-def cmd_train(cfg, workers=1):
+def cmd_train(cfg, workers):
     train, test = build_datasets(cfg)
     arch = nn.default_architecture(train.images.shape[1:], train.num_classes,
                                    **cfg["arch"])
@@ -357,17 +358,21 @@ def cmd_report(out_dir):
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing attack output: {path}")
     records, meta = attacks.read_scores_csv(scores_path)
-    with open(report_path) as fh:
-        report = metrics.MetricsReport.from_json(fh.read())
-    if report.schema_version != metrics.REPORT_SCHEMA_VERSION:
-        raise ValueError(f"{report_path} has schema_version "
-                         f"{report.schema_version}, not "
-                         f"{metrics.REPORT_SCHEMA_VERSION}")
+    try:
+        with open(report_path) as fh:
+            report = metrics.MetricsReport.from_json(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{report_path} {exc}") from exc
     ablation_path = os.path.join(out_dir, "ablation.csv")
     inputs, ablation = {report_path: report.metadata}, None
     if os.path.exists(ablation_path):
-        rows, inputs[ablation_path] = metrics.read_csv(ablation_path)
-        ablation = list(rows)
+        try:
+            rows, inputs[ablation_path] = metrics.read_csv(ablation_path)
+            ablation = [(row["upsample_mode"], float(row["auc_resmia"]))
+                        for row in rows]
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
+            raise ValueError(f"{ablation_path} does not parse: "
+                             f"{exc!r}") from exc
     # every input must come from the run that wrote scores.csv
     for path, other in inputs.items():
         for key in ("seed", "config_hash"):
@@ -417,9 +422,8 @@ def cmd_report(out_dir):
     if ablation is not None:
         lines.append("")
         lines.append("upsampling ablation (resmia auc)")
-        for row in ablation:
-            lines.append(f"{row['upsample_mode']}: "
-                         f"{float(row['auc_resmia']):.3f}")
+        for mode, value in ablation:
+            lines.append(f"{mode}: {value:.3f}")
     text = "\n".join(lines) + "\n"
     summary_path = os.path.join(out_dir, "summary.txt")
     with open(summary_path, "w") as fh:

@@ -19,19 +19,6 @@ class DegenerateScoresError(ValueError):
     """Raised when a score set has only one class."""
 
 
-@dataclass
-class RocCurve:
-    points: np.ndarray        # (M, 2) array of (fpr, tpr), (0,0) to (1,1)
-
-    @property
-    def fpr(self):
-        return self.points[:, 0]
-
-    @property
-    def tpr(self):
-        return self.points[:, 1]
-
-
 def _split_scores(scores):
     vals = np.array([s for s, _ in scores], dtype=np.float64)
     labels = np.array([bool(m) for _, m in scores])
@@ -57,25 +44,25 @@ def _tie_groups(scores):
     return vals[last], tps, fps, n_pos, len(labels) - n_pos
 
 
-def roc_curve(scores) -> RocCurve:
-    """scores: iterable of (score, is_member); higher = more member-like."""
+def roc_curve(scores) -> np.ndarray:
+    """(M, 2) rows of (fpr, tpr) from (0, 0) to (1, 1); scores: iterable
+    of (score, is_member), higher = more member-like."""
     _, tps, fps, n_pos, n_neg = _tie_groups(scores)
-    return RocCurve(points=np.column_stack((np.r_[0, fps] / n_neg,
-                                            np.r_[0, tps] / n_pos)))
+    return np.column_stack((np.r_[0, fps] / n_neg, np.r_[0, tps] / n_pos))
 
 
-def auc(curve: RocCurve) -> float:
+def auc(curve) -> float:
     """Trapezoidal area; equals P(member > non-member) + 0.5 P(tie)."""
-    fpr, tpr = curve.fpr, curve.tpr
+    fpr, tpr = curve.T
     return float(np.sum(np.diff(fpr) * (tpr[1:] + tpr[:-1]) * 0.5))
 
 
-def fpr_at_tpr(curve: RocCurve, target_tpr: float) -> float:
+def fpr_at_tpr(curve, target_tpr: float) -> float:
     """Smallest achievable FPR with TPR >= target, interpolating linearly
     between adjacent curve vertices."""
     if not 0.0 < target_tpr <= 1.0:
         raise ValueError(f"target TPR must be in (0, 1], got {target_tpr}")
-    fpr, tpr = curve.fpr, curve.tpr
+    fpr, tpr = curve.T
     i = int(np.searchsorted(tpr, target_tpr))  # tpr is non-decreasing
     if i == len(tpr):
         return 1.0  # unreachable: curve ends at TPR 1
@@ -123,11 +110,10 @@ class MetricsReport:
     query_counts: dict        # name -> queries per sample
     timing: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
-    schema_version: int = REPORT_SCHEMA_VERSION
 
     def to_json(self) -> str:
         payload = {
-            "schema_version": self.schema_version,
+            "schema_version": REPORT_SCHEMA_VERSION,
             "attacks": self.attacks,
             "per_client_auc": {str(k): v for k, v in self.per_client.items()},
             "client_auc_std": self.client_auc_std,
@@ -139,15 +125,24 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, text: str):
+        """Inverse of to_json; a ValueError's text follows the file name."""
         payload = json.loads(text)
-        return cls(attacks=payload["attacks"],
-                   per_client={int(k): v for k, v
-                               in payload["per_client_auc"].items()},
-                   client_auc_std=payload["client_auc_std"],
-                   query_counts=payload["query_counts"],
-                   timing=payload.get("timing", {}),
-                   metadata=payload.get("metadata", {}),
-                   schema_version=payload["schema_version"])
+        if not isinstance(payload, dict):
+            raise ValueError("is not a JSON object")
+        try:
+            version = payload["schema_version"]
+            if version != REPORT_SCHEMA_VERSION:
+                raise ValueError(f"has schema_version {version!r}, not "
+                                 f"{REPORT_SCHEMA_VERSION}")
+            return cls(attacks=payload["attacks"],
+                       per_client={int(k): v for k, v
+                                   in payload["per_client_auc"].items()},
+                       client_auc_std=payload["client_auc_std"],
+                       query_counts=payload["query_counts"],
+                       timing=payload["timing"],
+                       metadata=payload["metadata"])
+        except KeyError as exc:
+            raise ValueError(f"has no key {exc}") from exc
 
 
 def build_report(records, erosion_steps, timing=None,
@@ -179,7 +174,7 @@ def write_roc_csv(path, curves_by_attack, metadata=None):
     write_csv(path, ["attack", "fpr", "tpr"],
               ([name, repr(float(fpr)), repr(float(tpr))]
                for name in sorted(curves_by_attack)
-               for fpr, tpr in curves_by_attack[name].points),
+               for fpr, tpr in curves_by_attack[name]),
               metadata)
 
 

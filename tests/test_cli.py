@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,26 @@ def small_checkpoint(tmp_path_factory):
     assert cli.main(["train", "--config", write_config(tmp_path),
                      "--out", out]) == 0
     return os.path.join(out, "model.ckpt")
+
+
+@pytest.fixture(scope="module")
+def audited_run(tmp_path_factory, small_checkpoint):
+    """attack and ablate outputs of small_checkpoint under SMALL_CONFIG,
+    copied by the tests that damage one of them."""
+    tmp_path = tmp_path_factory.mktemp("audited")
+    audit = ["--config", write_config(tmp_path), "--out",
+             str(tmp_path / "run"), "--checkpoint", small_checkpoint]
+    assert cli.main(["attack", *audit]) == 0
+    assert cli.main(["ablate", *audit]) == 0
+    return tmp_path / "run"
+
+
+def without_key(key):
+    def edit(text):
+        payload = json.loads(text)
+        del payload[key]
+        return json.dumps(payload)
+    return edit
 
 
 class TestPipeline:
@@ -427,6 +449,39 @@ class TestOverridesAndErrors:
         assert cli.main(["report", "--out", str(out)]) == 1
         assert (f"{out / 'report.json'} has schema_version 99"
                 in capsys.readouterr().err)
+        assert not (out / "roc.csv").exists()
+        assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("report.json", without_key("schema_version"),
+         "has no key 'schema_version'"),
+        ("report.json", without_key("attacks"), "has no key 'attacks'"),
+        ("report.json", lambda text: text + "x\n",
+         "Extra data: line "),
+        ("report.json", lambda text: f"[{text}]", "is not a JSON object"),
+        ("ablation.csv",
+         lambda text: text.replace("upsample_mode,auc_resmia",
+                                   "upsample_mode,auc"),
+         "does not parse: KeyError('auc_resmia')"),
+        ("ablation.csv",
+         lambda text: re.sub(r"^bilinear,.*$", "bilinear,high", text,
+                             flags=re.M),
+         "does not parse: ValueError(\"could not convert string to float: "
+         "'high'\")"),
+    ], ids=["report_without_schema_version", "report_without_attacks",
+            "report_with_text_appended", "report_as_json_list",
+            "ablation_column_renamed", "ablation_auc_not_a_number"])
+    def test_report_refuses_a_damaged_input_before_writing(
+            self, tmp_path, capsys, audited_run, name, edit, message):
+        out = tmp_path / "run"
+        shutil.copytree(audited_run, out)
+        damaged = out / name
+        text = damaged.read_text()
+        damaged.write_text(edit(text))
+        assert damaged.read_text() != text
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == 1
+        assert f"error: {damaged} {message}" in capsys.readouterr().err
         assert not (out / "roc.csv").exists()
         assert not (out / "summary.txt").exists()
 

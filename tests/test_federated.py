@@ -428,7 +428,7 @@ class TestSingleBlasThread:
         assert seen == [2] * 6
 
 
-def map_workers(fn, items, workers, first=None):
+def fan_out_once(fn, items, workers, first=None):
     """One map call in a fan-out of its own."""
     with nn.fan_out(workers) as run:
         return run(fn, items, first)
@@ -437,15 +437,15 @@ def map_workers(fn, items, workers, first=None):
 class TestMapWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3, 9])
     def test_results_in_item_order(self, workers):
-        assert map_workers(lambda x: x * x, range(7), workers) == [
+        assert fan_out_once(lambda x: x * x, range(7), workers) == [
             x * x for x in range(7)]
 
     def test_one_worker_runs_first_then_items_inline(self):
         calls = []
-        map_workers(lambda x: calls.append((x, threading.get_ident())),
-                    range(3), 1,
-                    first=lambda: calls.append(("first",
-                                                threading.get_ident())))
+        fan_out_once(lambda x: calls.append((x, threading.get_ident())),
+                     range(3), 1,
+                     first=lambda: calls.append(("first",
+                                                 threading.get_ident())))
         me = threading.get_ident()
         assert calls == [("first", me), (0, me), (1, me), (2, me)]
 
@@ -463,7 +463,7 @@ class TestMapWorkers:
             assert taken.wait(10)
             item_threads.append(("first", threading.get_ident()))
 
-        assert map_workers(fn, range(4), 2, first=first) == [0, 1, 2, 3]
+        assert fan_out_once(fn, range(4), 2, first=first) == [0, 1, 2, 3]
         me = threading.get_ident()
         assert ("first", me) in item_threads
         assert item_threads[0] != me
@@ -485,7 +485,7 @@ class TestMapWorkers:
                 raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            map_workers(fn, range(100), workers, first=first)
+            fan_out_once(fn, range(100), workers, first=first)
         assert len(ran) < 10
 
     def test_no_more_threads_than_items(self, monkeypatch):

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from fedaudit.attacks import AttackRecord
-from fedaudit.metrics import (DegenerateScoresError, MetricsReport,
-                              RocCurve, accuracy_at_best_threshold, auc,
+from fedaudit.metrics import (REPORT_SCHEMA_VERSION, DegenerateScoresError,
+                              MetricsReport, accuracy_at_best_threshold, auc,
                               build_report, fpr_at_tpr, per_client_auc,
                               roc_curve, write_roc_csv)
 
@@ -38,7 +40,7 @@ def best_accuracy_oracle(scores):
 
 def fpr_at_tpr_oracle(curve, target):
     """First vertex reaching the target, interpolated from its predecessor."""
-    fpr, tpr = curve.fpr, curve.tpr
+    fpr, tpr = curve.T
     for i in range(len(tpr)):
         if tpr[i] >= target:
             if i == 0 or tpr[i] == tpr[i - 1]:
@@ -62,29 +64,29 @@ class TestRocCurve:
     def test_perfect_separation_passes_0_1(self):
         scores = [(1.0, True)] * 3 + [(0.0, False)] * 3
         curve = roc_curve(scores)
-        assert any(np.allclose(p, (0.0, 1.0)) for p in curve.points)
+        assert any(np.allclose(p, (0.0, 1.0)) for p in curve)
 
     def test_constant_scores_diagonal(self):
         scores = [(0.5, True)] * 4 + [(0.5, False)] * 4
         curve = roc_curve(scores)
-        assert curve.points.tolist() == [[0.0, 0.0], [1.0, 1.0]]
+        assert curve.tolist() == [[0.0, 0.0], [1.0, 1.0]]
 
     def test_hand_case_vertices(self):
         curve = roc_curve(HAND_SCORES)
         expected = [[0.0, 0.0], [0.0, 0.5], [0.5, 0.5], [0.5, 1.0],
                     [1.0, 1.0]]
-        assert np.allclose(curve.points, expected)
+        assert np.allclose(curve, expected)
 
     def test_monotone_and_bounded(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
             curve = roc_curve(random_scores(rng, 10, 15, ties=trial % 2))
-            assert np.all(np.diff(curve.fpr) >= 0)
-            assert np.all(np.diff(curve.tpr) >= 0)
-            assert curve.points.min() >= 0.0
-            assert curve.points.max() <= 1.0
-            assert np.allclose(curve.points[0], (0, 0))
-            assert np.allclose(curve.points[-1], (1, 1))
+            assert curve.shape[1] == 2 and curve.dtype == np.float64
+            assert np.all(np.diff(curve, axis=0) >= 0)
+            assert curve.min() >= 0.0
+            assert curve.max() <= 1.0
+            assert np.allclose(curve[0], (0, 0))
+            assert np.allclose(curve[-1], (1, 1))
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateScoresError):
@@ -147,7 +149,7 @@ class TestFprAtTpr:
         assert fpr_at_tpr(curve, 0.8) == 0.0
 
     def test_diagonal_chance(self):
-        curve = RocCurve(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
+        curve = np.array([[0.0, 0.0], [1.0, 1.0]])
         assert fpr_at_tpr(curve, 0.8) == pytest.approx(0.8, abs=1e-12)
 
     def test_hand_case_interpolation(self):
@@ -256,6 +258,54 @@ class TestReport:
         assert set(report.per_client) == {0, 1}
         loaded = MetricsReport.from_json(report.to_json())
         assert loaded == report
+
+    @staticmethod
+    def payload():
+        records = make_records({0: [0.9, 0.8], 1: [0.7, 0.85]},
+                               [0.3, 0.4, 0.2, 0.5])
+        return json.loads(build_report(records, erosion_steps=5).to_json())
+
+    def test_to_json_writes_the_schema_version(self):
+        assert self.payload()["schema_version"] == REPORT_SCHEMA_VERSION
+
+    @pytest.mark.parametrize("version", [REPORT_SCHEMA_VERSION + 1, None,
+                                         "1"])
+    def test_from_json_refuses_another_version(self, version):
+        payload = self.payload()
+        payload["schema_version"] = version
+        with pytest.raises(ValueError) as info:
+            MetricsReport.from_json(json.dumps(payload))
+        assert str(info.value) == (f"has schema_version {version!r}, "
+                                   f"not {REPORT_SCHEMA_VERSION}")
+
+    def test_from_json_names_each_missing_key(self):
+        keys = list(self.payload())
+        assert len(keys) == 7
+        for key in keys:
+            payload = self.payload()
+            del payload[key]
+            with pytest.raises(ValueError) as info:
+                MetricsReport.from_json(json.dumps(payload))
+            assert str(info.value) == f"has no key {key!r}"
+
+    def test_from_json_names_the_first_missing_key(self):
+        payload = self.payload()
+        for key in ("metadata", "attacks", "timing"):
+            del payload[key]
+        with pytest.raises(ValueError, match="^has no key 'attacks'$"):
+            MetricsReport.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "is not a JSON object"),
+        ("7", "is not a JSON object"),
+        ("", "Expecting value: line 1 column 1"),
+        ('{"schema_version": 1} x', "Extra data: line 1 column 23"),
+    ], ids=["list", "number", "empty", "text_appended"])
+    def test_from_json_refuses_what_is_not_a_json_object(self, text,
+                                                         message):
+        with pytest.raises(ValueError) as info:
+            MetricsReport.from_json(text)
+        assert str(info.value).startswith(message)
 
     def test_per_client_map_covers_all_clients(self):
         records = make_records({c: [0.6, 0.7] for c in range(7)},
