@@ -8,7 +8,9 @@ Three scores, all oriented "higher = more member-like":
 * entropy  — negated Shannon entropy of the output distribution (1 query)
 
 No gradients and no parameter access anywhere: everything goes through
-``model.query``.
+the query facade, ``model.query`` for one image and ``model.query_batch``
+for a stack.  Its rows are batch-invariant, so a score is the same
+whether its K+1 queries went one at a time or in a batch.
 """
 
 import csv
@@ -20,6 +22,10 @@ from .metrics import read_csv, write_csv
 from .tensors import ErosionConfig, erosion_sequence
 
 ATTACK_NAMES = ("resmia", "loss", "entropy")
+
+# images per query_batch call in evaluate_attacks; 64 raised the peak
+# RSS of an audit where 32 lowered it
+QUERY_BATCH = 32
 
 SCORES_CSV_COLUMNS = ("sample_id", "client_id", "is_member", "score_resmia",
                       "score_loss", "score_entropy", "queries_resmia")
@@ -47,10 +53,15 @@ def confidence_trace(model, img, cfg: ErosionConfig) -> ConfidenceTrace:
     The predicted class is the argmax on the original image, ties broken
     toward the lowest class index (numpy argmax convention).
     """
-    probs = [np.asarray(model.query(x), dtype=np.float64)
-             for x in erosion_sequence(img, cfg)]
+    return _trace(np.array([model.query(x)
+                            for x in erosion_sequence(img, cfg)],
+                           dtype=np.float64))
+
+
+def _trace(probs):
+    """ConfidenceTrace of the (K+1, classes) responses along one path."""
     y_star = int(probs[0].argmax())
-    return ConfidenceTrace(target_probs=np.array([p[y_star] for p in probs]),
+    return ConfidenceTrace(target_probs=probs[:, y_star],
                            initial_probs=probs[0])
 
 
@@ -125,8 +136,7 @@ def gather_eval_samples(eval_set, train_set, test_set):
     return samples
 
 
-def _score_sample(model, sample, cfg):
-    trace = confidence_trace(model, sample.image, cfg)
+def _record(sample, trace):
     # the x0 response is shared: both baselines are functions of the same
     # probability vector the trace already paid one query for
     scores = {
@@ -138,17 +148,39 @@ def _score_sample(model, sample, cfg):
                         client_id=sample.client_id,
                         is_member=sample.is_member,
                         scores=scores,
-                        queries_resmia=cfg.steps + 1)
+                        queries_resmia=len(trace.target_probs))
 
 
 def evaluate_attacks(model, samples, cfg: ErosionConfig):
     """Score every eval sample with all three attacks, on the calling
     thread; records come back ordered by (is_member desc, sample_id).
+
+    Samples are eroded a few at a time and their K+1 iterates each go
+    to the model as one query_batch of at most QUERY_BATCH images.  The
+    scores are those of per-sample confidence_trace calls, and the
+    model's counter must move by exactly K+1 per sample: RuntimeError
+    otherwise.
     """
     members = sum(1 for s in samples if s.is_member)
     if members == 0 or members == len(samples):
         raise ValueError("eval set needs both members and non-members")
-    records = [_score_sample(model, s, cfg) for s in samples]
+    k1 = cfg.steps + 1
+    per_batch = max(1, QUERY_BATCH // k1)
+    before = model.query_count
+    records = []
+    for lo in range(0, len(samples), per_batch):
+        chunk = samples[lo:lo + per_batch]
+        seq = erosion_sequence(np.stack([s.image for s in chunk]), cfg)
+        # sample-major: sample j's K+1 iterates are rows j*k1 .. j*k1+K
+        stack = np.stack(seq, axis=1).reshape(-1, *seq[0].shape[1:])
+        probs = np.asarray(model.query_batch(stack), dtype=np.float64)
+        records += [_record(s, _trace(p)) for s, p in
+                    zip(chunk, probs.reshape(len(chunk), k1, -1))]
+    spent, want = model.query_count - before, len(samples) * k1
+    if spent != want:
+        raise RuntimeError(f"scoring {len(samples)} samples at {k1} "
+                           f"queries each should cost {want} queries, "
+                           f"the model counted {spent}")
     records.sort(key=lambda r: (not r.is_member, r.sample_id))
     return records
 

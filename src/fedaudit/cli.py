@@ -287,7 +287,9 @@ def _open_audit(cfg, checkpoint):
 def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
     """Median ms/sample for one forward pass vs the full erosion probe.
 
-    Single-threaded on purpose so the per-sample numbers mean something.
+    Single-threaded and one query at a time on purpose, so the
+    per-sample numbers mean something: the probe is the sequential
+    K+1-query confidence_trace, not evaluate_attacks' query batches.
     """
     images = [samples[i % len(samples)].image
               for i in range(n_samples + warmup)]

@@ -98,19 +98,6 @@ def load_cifar10(path):
     return train, test
 
 
-def write_cifar_batch(path, images, labels):
-    """Write samples in the binary batch layout (test fixture helper).
-
-    Images must already be uint8 channel planes, shape (N, 3, H, W).
-    """
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        for img, lab in zip(images, labels):
-            fh.write(bytes([int(lab)]))
-            fh.write(img.tobytes())
-
-
 def check_synthetic(classes, dims, template_strength):
     """Raise unless generate_synthetic can build from these: at least 2
     classes, dims [C, H, W] with C >= 1 and even H, W >= 2, and a

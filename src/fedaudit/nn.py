@@ -17,7 +17,11 @@ transposed im2col matrix ``(C*9, N*H*W)``.  Conv backward takes
 contiguous add.
 
 The :class:`Model` facade is the only surface attacks are allowed to use:
-it answers image -> class-probability queries and counts them.
+it answers image -> class-probability queries, one image at a time
+(``query``) or as a stack (``query_batch``), and counts every image.
+Inference rows are batch-invariant: without collected caches the dense
+layers run one GEMV per row, as a batch-1 pass does, so a row's
+probabilities have the same bits alone or in any stack.
 """
 
 import contextlib
@@ -268,6 +272,9 @@ def forward_batch(params, arch, x, caches=None):
     """Run the network over a batch (N, C, H, W); returns logits.
 
     Pass a list as `caches` to collect what the backward pass needs.
+    Without caches each row's logits have the bits of a batch-1 pass:
+    the conv GEMMs already give them, and the dense layers run one GEMV
+    per row instead of one GEMM over the batch, which rounds otherwise.
     """
     if tuple(x.shape[1:]) != tuple(arch.input_shape):
         raise ShapeMismatchError(
@@ -281,6 +288,8 @@ def forward_batch(params, arch, x, caches=None):
             a, cache = _maxpool_forward(a)
         elif kind == "flatten":
             a, cache = a.reshape(a.shape[0], -1), a.shape
+        elif caches is None:  # dense_relu, dense: one GEMV per row
+            a, cache = (a[:, None] @ p["W"])[:, 0] + p["b"], None
         else:  # dense_relu, dense
             a, cache = a @ p["W"] + p["b"], a
         if kind in _RELU:
@@ -489,8 +498,11 @@ def _map_queue(pool, workers, fn, items, first=None):
 class Model:
     """Trained classifier exposed to attacks as image -> probabilities.
 
-    Every query() bumps the counter under a lock, so the query budget of
-    an attack can be asserted exactly even with parallel callers.
+    query() answers one image and query_batch() a stack; each adds the
+    number of images it answers to the counter under a lock, so the
+    query budget of an attack can be asserted exactly even with
+    parallel callers.  Row i of query_batch(images) has the bits of
+    query(images[i]).
     trained_on is the caller's record of what the model was trained on;
     checkpoints carry it and nothing here reads it.
     """
@@ -506,6 +518,13 @@ class Model:
         with self._lock:
             self._query_count += 1
         return forward(self.params, self.arch, img)
+
+    def query_batch(self, images: np.ndarray) -> np.ndarray:
+        """(N, classes) probabilities for an (N, C, H, W) stack; counts
+        N queries."""
+        with self._lock:
+            self._query_count += len(images)
+        return _softmax(forward_batch(self.params, self.arch, images))
 
     @property
     def query_count(self) -> int:

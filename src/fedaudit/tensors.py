@@ -3,7 +3,9 @@
 Images are numpy float32 arrays of shape (C, H, W) with intensities in
 [0, 1].  An erosion step average-pools the image and upsamples the result
 back to the original size, stripping high-frequency content while keeping
-the coarse structure.  All functions here are pure.
+the coarse structure.  Every operator also takes a (..., C, H, W) stack
+and gives each image the bits it gets alone.  All functions here are
+pure.
 """
 
 from dataclasses import dataclass
@@ -55,13 +57,13 @@ def avg_pool(img: np.ndarray, factor: int) -> np.ndarray:
     """
     if factor < 2:
         raise ValueError(f"pool factor must be >= 2, got {factor}")
-    c, h, w = img.shape
+    *lead, h, w = img.shape
     if h % factor != 0:
         raise ValueError(f"height {h} not divisible by pool factor {factor}")
     if w % factor != 0:
         raise ValueError(f"width {w} not divisible by pool factor {factor}")
-    blocks = img.reshape(c, h // factor, factor, w // factor, factor)
-    return blocks.mean(axis=(2, 4), dtype=np.float32)
+    blocks = img.reshape(*lead, h // factor, factor, w // factor, factor)
+    return blocks.mean(axis=(-3, -1), dtype=np.float32)
 
 
 def upsample(img: np.ndarray, factor: int, mode: str = "nearest") -> np.ndarray:
@@ -75,7 +77,7 @@ def upsample(img: np.ndarray, factor: int, mode: str = "nearest") -> np.ndarray:
     if factor < 2:
         raise ValueError(f"upsample factor must be >= 2, got {factor}")
     if mode == "nearest":
-        return np.repeat(np.repeat(img, factor, axis=1), factor, axis=2)
+        return np.repeat(np.repeat(img, factor, axis=-2), factor, axis=-1)
     if mode == "bilinear":
         return _upsample_bilinear(img, factor)
     raise ValueError(f"unknown upsample mode {mode!r}")
@@ -92,15 +94,14 @@ def _axis_weights(in_size: int, factor: int):
 
 
 def _upsample_bilinear(img: np.ndarray, factor: int) -> np.ndarray:
-    c, h, w = img.shape
+    h, w = img.shape[-2:]
     ylo, yhi, yf = _axis_weights(h, factor)
     xlo, xhi, xf = _axis_weights(w, factor)
     img64 = img.astype(np.float64)
     # Separable: interpolate rows, then columns.
-    rows = img64[:, ylo, :] * (1.0 - yf)[None, :, None] \
-        + img64[:, yhi, :] * yf[None, :, None]
-    out = rows[:, :, xlo] * (1.0 - xf)[None, None, :] \
-        + rows[:, :, xhi] * xf[None, None, :]
+    rows = img64[..., ylo, :] * (1.0 - yf)[:, None] \
+        + img64[..., yhi, :] * yf[:, None]
+    out = rows[..., xlo] * (1.0 - xf) + rows[..., xhi] * xf
     return out.astype(np.float32)
 
 
@@ -114,9 +115,11 @@ def erosion_sequence(img: np.ndarray, cfg: ErosionConfig) -> list[np.ndarray]:
     last element of a full collapse is the per-channel mean image.
 
     Requires pool_factor**steps to divide both spatial dims (full
-    collapse to 1x1 included); see ErosionConfig.check_image.
+    collapse to 1x1 included); see ErosionConfig.check_image.  For a
+    (..., C, H, W) stack every element of the list is a stack too,
+    holding each image's own sequence element.
     """
-    cfg.check_image(*img.shape[1:])
+    cfg.check_image(*img.shape[-2:])
     seq = [img]
     pooled = img
     for k in range(1, cfg.steps + 1):

@@ -24,6 +24,9 @@ class StubModel:
         self.query_count += 1
         return np.asarray(self.fn(img), dtype=np.float64)
 
+    def query_batch(self, images):
+        return np.stack([self.query(img) for img in images])
+
 
 def constant_model(probs):
     return StubModel(lambda img: probs)
@@ -192,6 +195,39 @@ class TestEvaluateAttacks:
         with pytest.raises(ValueError):
             evaluate_attacks(mean_sensitive_model(), members_only,
                              ErosionConfig(3))
+
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    @pytest.mark.parametrize("steps", [1, 3, 5])
+    def test_batches_score_as_per_sample_traces(self, steps, mode):
+        # 19 samples leave a partial last batch at 16, 8 and 5 per batch
+        arch = nn.default_architecture()
+        model = nn.Model(arch=arch, params=nn.init_params(arch, 3))
+        samples = [EvalSample(i, i % 3 if i < 10 else "nonmember", i < 10,
+                              rand_img(200 + i, (3, 32, 32)))
+                   for i in range(19)]
+        cfg = ErosionConfig(steps, upsample_mode=mode)
+        records = evaluate_attacks(model, samples, cfg)
+        assert model.query_count == 19 * (steps + 1)
+        for s, r in zip(samples, records):
+            trace = confidence_trace(model, s.image, cfg)
+            want = {"resmia": resmia_score(trace),
+                    "loss": float(trace.initial_probs.max()),
+                    "entropy": negated_entropy(trace.initial_probs)}
+            assert r.sample_id == s.sample_id
+            assert repr(r.scores) == repr(want)
+            assert r.queries_resmia == steps + 1
+
+    def test_miscounted_batch_raises(self):
+        class OneCountPerBatch(StubModel):
+            def query_batch(self, images):
+                probs = super().query_batch(images)
+                self.query_count -= len(images) - 1
+                return probs
+
+        with pytest.raises(RuntimeError, match="cost 48 queries, the "
+                                               "model counted 2"):
+            evaluate_attacks(OneCountPerBatch(mean_sensitive_model().fn),
+                             self.make_samples(), ErosionConfig(3))
 
     def test_shared_x0_matches_standalone_baselines(self):
         samples = self.make_samples(2, 2)

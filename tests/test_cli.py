@@ -9,6 +9,8 @@ import pytest
 
 from fedaudit import cli, data, nn
 
+from test_data import write_cifar_batch
+
 
 SMALL_CONFIG = {
     "dataset": {
@@ -528,7 +530,7 @@ def write_fake_cifar(root):
     for name, n in [(f, 20) for f in data.CIFAR_TRAIN_FILES] + [
             (f, 50) for f in data.CIFAR_TEST_FILES]:
         images = rng.integers(0, 256, (n, *data.CIFAR_SHAPE), dtype=np.uint8)
-        data.write_cifar_batch(root / name, images, np.arange(n) % 10)
+        write_cifar_batch(root / name, images, np.arange(n) % 10)
 
 
 class TestCifarRoute:

@@ -4,9 +4,21 @@ import pytest
 from fedaudit import data, federated
 from fedaudit.data import (DatasetFormatError, build_eval_set,
                            class_templates, generate_synthetic,
-                           load_cifar10, subset_per_class,
-                           write_cifar_batch)
+                           load_cifar10, subset_per_class)
 from fedaudit.tensors import ErosionConfig, erosion_sequence
+
+
+def write_cifar_batch(path, images, labels):
+    """Write samples in the CIFAR-10 binary batch layout.
+
+    Images must already be uint8 channel planes, shape (N, 3, H, W).
+    """
+    images = np.asarray(images, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    with open(path, "wb") as fh:
+        for img, lab in zip(images, labels):
+            fh.write(bytes([int(lab)]))
+            fh.write(img.tobytes())
 
 
 def make_cifar_dir(tmp_path, n_train=20, n_test=10, seed=0):

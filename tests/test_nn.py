@@ -291,6 +291,17 @@ class TestQueryFacade:
             model.query(img)
         assert model.query_count == 10
 
+    @pytest.mark.parametrize("n", [1, 3, 8, 32])
+    def test_query_batch_rows_have_query_bits(self, n):
+        arch = nn.default_architecture()
+        model = nn.Model(arch=arch, params=nn.init_params(arch, 4))
+        images = np.random.default_rng(n).random((n, 3, 32, 32),
+                                                 dtype=np.float32)
+        probs = model.query_batch(images)
+        assert model.query_count == n
+        assert_same_bits(probs, np.stack([model.query(x) for x in images]))
+        assert model.query_count == 2 * n
+
     def test_counter_atomic_under_threads(self):
         arch = tiny_arch()
         model = nn.Model(arch=arch, params=nn.init_params(arch, 0))

@@ -193,6 +193,17 @@ class TestErosionSequence:
         with pytest.raises(ErosionConfigError, match="does not divide"):
             erosion_sequence(img, ErosionConfig(steps))
 
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_stack_matches_per_image_sequences(self, mode):
+        images = rand_img((5, 3, 32, 32), 10)
+        cfg = ErosionConfig(5, upsample_mode=mode)
+        stacked = erosion_sequence(images, cfg)
+        for i, img in enumerate(images):
+            for got, want in zip(stacked, erosion_sequence(img, cfg),
+                                 strict=True):
+                assert got[i].dtype == want.dtype
+                assert got[i].tobytes() == want.tobytes()
+
     def test_all_dims_preserved(self):
         img = rand_img((3, 16, 16), 9)
         for mode in ("nearest", "bilinear"):
