@@ -284,6 +284,10 @@ def _open_audit(cfg, checkpoint):
     return model, samples
 
 
+# report.json's timing: empty, or these numbers from measure_overhead
+_TIMING_KEYS = ("single_forward_ms", "resmia_probe_ms", "ratio")
+
+
 def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
     """Median ms/sample for one forward pass vs the full erosion probe.
 
@@ -303,9 +307,8 @@ def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
         if i >= warmup:
             single.append((t1 - t0) * 1e3)
             probe.append((t2 - t1) * 1e3)
-    return {"single_forward_ms": statistics.median(single),
-            "resmia_probe_ms": statistics.median(probe),
-            "ratio": statistics.median(probe) / statistics.median(single)}
+    single, probe = statistics.median(single), statistics.median(probe)
+    return dict(zip(_TIMING_KEYS, (single, probe, probe / single)))
 
 
 def cmd_attack(cfg, checkpoint):
@@ -383,6 +386,17 @@ def cmd_report(out_dir):
                 raise ValueError(f"{path} has {key} {got}, "
                                  f"{scores_path} has {key} {want}")
 
+    # the values the summary shows must be whole before any file is written
+    for name in attacks.ATTACK_NAMES:
+        row = report.attacks.get(name)
+        if not isinstance(row, dict) or "auc" not in row:
+            raise ValueError(f"{report_path} has no {name} auc")
+    timing = report.timing
+    if timing and (sorted(timing) != sorted(_TIMING_KEYS) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in timing.values())):
+        raise ValueError(f"{report_path} has timing {timing!r}, not {{}} "
+                         f"or the numbers {', '.join(_TIMING_KEYS)}")
     curves = {}
     for name in attacks.ATTACK_NAMES:
         scores = [(r.scores[name], r.is_member) for r in records]
@@ -393,9 +407,22 @@ def cmd_report(out_dir):
         if got != want:
             raise ValueError(f"{scores_path} gives {name} auc {got!r}, "
                              f"{report_path} says {want!r}")
+    try:
+        text = _summary_text(report, ablation)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{report_path} does not render: {exc!r}") from exc
     roc_path = os.path.join(out_dir, "roc.csv")
     metrics.write_roc_csv(roc_path, curves, metadata=meta)
+    summary_path = os.path.join(out_dir, "summary.txt")
+    with open(summary_path, "w") as fh:
+        fh.write(metrics.preamble(meta) + text)
+    print(text, end="")
+    print(f"summary: {summary_path}")
+    print(f"roc polylines: {roc_path}")
 
+
+def _summary_text(report, ablation):
+    """summary.txt's body: the report's tables and the ablation rows."""
     lines = []
     lines.append("attack performance")
     lines.append(f"{'attack':<10}{'auc':>8}{'accuracy':>10}"
@@ -426,13 +453,7 @@ def cmd_report(out_dir):
         lines.append("upsampling ablation (resmia auc)")
         for mode, value in ablation:
             lines.append(f"{mode}: {value:.3f}")
-    text = "\n".join(lines) + "\n"
-    summary_path = os.path.join(out_dir, "summary.txt")
-    with open(summary_path, "w") as fh:
-        fh.write(metrics.preamble(meta) + text)
-    print(text, end="")
-    print(f"summary: {summary_path}")
-    print(f"roc polylines: {roc_path}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

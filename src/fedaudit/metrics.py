@@ -125,7 +125,10 @@ class MetricsReport:
 
     @classmethod
     def from_json(cls, text: str):
-        """Inverse of to_json; a ValueError's text follows the file name."""
+        """Inverse of to_json; a ValueError's text follows the file name.
+        Refuses a missing key, a mapping field that is not a JSON object
+        and a per_client_auc key that is not a client id, naming the
+        key."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("is not a JSON object")
@@ -134,9 +137,19 @@ class MetricsReport:
             if version != REPORT_SCHEMA_VERSION:
                 raise ValueError(f"has schema_version {version!r}, not "
                                  f"{REPORT_SCHEMA_VERSION}")
+            for key in ("attacks", "per_client_auc", "query_counts",
+                        "timing", "metadata"):
+                if not isinstance(payload[key], dict):
+                    raise ValueError(f"has {key} of type "
+                                     f"{type(payload[key]).__name__}, "
+                                     f"not a JSON object")
+            try:
+                per_client = {int(k): v for k, v
+                              in payload["per_client_auc"].items()}
+            except ValueError as exc:
+                raise ValueError(f"has per_client_auc {exc}") from exc
             return cls(attacks=payload["attacks"],
-                       per_client={int(k): v for k, v
-                                   in payload["per_client_auc"].items()},
+                       per_client=per_client,
                        client_auc_std=payload["client_auc_std"],
                        query_counts=payload["query_counts"],
                        timing=payload["timing"],

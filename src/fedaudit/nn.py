@@ -16,6 +16,20 @@ transposed im2col matrix ``(C*9, N*H*W)``.  Conv backward takes
 ``(N, H+2, W+2)`` grid per channel, where each of the nine taps is one
 contiguous add.
 
+A conv's ReLU runs behind the maxpool that follows it (``_relu_at``):
+ReLU is monotone, so the orders commute, and its mask and multiplies
+act on a quarter of the values.  Training pools with
+``_maxpool_forward``, whose ``idx`` (the first maximum on ties) routes
+the backward pass; passes without a backward pool values only, with
+two ``np.maximum`` over stride-2 views (``_maxpool_values``).  The
+orders and the two pools differ only in the sign of a zero maximum,
+and no output can see that sign: the GEMMs accumulate from +0.0 and
+add the bias, so a product of ±0 changes no sum; the softmax gives
+``exp(±0) = 1``; and ``argmax`` treats ±0 as a tie.  In the backward
+pass a zero gradient may reach another window position, which adds
+only ±0 terms to the same sums.  So every output keeps the bits of
+ReLU-before-pool with the argmax pool.
+
 The :class:`Model` facade is the only surface attacks are allowed to use:
 it answers image -> class-probability queries, one image at a time
 (``query``) or as a stack (``query_batch``), and counts every image.
@@ -39,8 +53,6 @@ import numpy as np
 
 CHECKPOINT_MAGIC = b"FEDAUDIT-CKPT v2\n"
 
-# layer kinds whose output goes through a ReLU
-_RELU = ("conv", "dense_relu")
 # arguments after the kind: a width, or none
 _LAYER_ARGS = {"conv": 1, "maxpool": 0, "flatten": 0, "dense_relu": 1,
                "dense": 1}
@@ -262,6 +274,29 @@ def _maxpool_backward(dy, cache):
     return dx.reshape(c, n, h, w).view(dy.dtype).transpose(1, 0, 2, 3)
 
 
+def _maxpool_values(x):
+    """2x2 max pool without idx, for passes with no backward: two
+    np.maximum over stride-2 views of the channels-first buffer, rows
+    first.  Values equal _maxpool_forward's y, NaN where it has NaN, and
+    the output is stored channels-first; only a zero maximum's sign may
+    differ."""
+    xc = x.transpose(1, 0, 2, 3)
+    rows = np.maximum(xc[:, :, 0::2], xc[:, :, 1::2])
+    return np.maximum(rows[..., 0::2], rows[..., 1::2],
+                      order="C").transpose(1, 0, 2, 3)
+
+
+def _relu_at(arch):
+    """Per layer, whether a ReLU follows it: a dense_relu; a conv,
+    unless a maxpool follows, which then takes the conv's ReLU."""
+    kinds = [kind for kind, *_ in arch.layers]
+    return [kind == "dense_relu"
+            or kind == "conv" and nxt != "maxpool"
+            or kind == "maxpool" and prev == "conv"
+            for prev, kind, nxt in zip([None] + kinds, kinds,
+                                       kinds[1:] + [None])]
+
+
 def _softmax(logits):
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -275,15 +310,20 @@ def forward_batch(params, arch, x, caches=None):
     Without caches each row's logits have the bits of a batch-1 pass:
     the conv GEMMs already give them, and the dense layers run one GEMV
     per row instead of one GEMM over the batch, which rounds otherwise.
+    Without caches maxpool also computes values only.  Either way a
+    conv's ReLU applies after its maxpool; the module docstring says
+    why no zero sign this changes reaches the logits.
     """
     if tuple(x.shape[1:]) != tuple(arch.input_shape):
         raise ShapeMismatchError(
             f"input shape {x.shape[1:]} != architecture input "
             f"{arch.input_shape}")
     a = x
-    for (kind, *_), p in zip(arch.layers, params):
+    for (kind, *_), p, relu in zip(arch.layers, params, _relu_at(arch)):
         if kind == "conv":
             a, cache = _conv_forward(a, p["W"], p["b"])
+        elif kind == "maxpool" and caches is None:
+            a, cache = _maxpool_values(a), None
         elif kind == "maxpool":
             a, cache = _maxpool_forward(a)
         elif kind == "flatten":
@@ -292,7 +332,7 @@ def forward_batch(params, arch, x, caches=None):
             a, cache = (a[:, None] @ p["W"])[:, 0] + p["b"], None
         else:  # dense_relu, dense
             a, cache = a @ p["W"] + p["b"], a
-        if kind in _RELU:
+        if relu:
             mask = a > 0
             a = a * mask
             cache = (cache, mask)
@@ -334,9 +374,10 @@ def loss_and_gradients(params, arch, images, labels):
 
     grads = [None] * len(params)
     da = delta
+    relu_at = _relu_at(arch)
     for i in range(len(arch.layers) - 1, -1, -1):
         kind, cache = arch.layers[i][0], caches[i]
-        if kind in _RELU:
+        if relu_at[i]:
             cache, mask = cache
             da = da * mask
         if kind == "conv":

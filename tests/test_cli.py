@@ -86,12 +86,17 @@ def audited_run(tmp_path_factory, small_checkpoint):
     return tmp_path / "run"
 
 
-def without_key(key):
+def json_edit(change):
+    """An edit of a JSON file's text: change(payload) in place."""
     def edit(text):
         payload = json.loads(text)
-        del payload[key]
+        change(payload)
         return json.dumps(payload)
     return edit
+
+
+def without_key(key):
+    return json_edit(lambda payload: payload.pop(key))
 
 
 class TestPipeline:
@@ -461,6 +466,17 @@ class TestOverridesAndErrors:
         ("report.json", lambda text: text + "x\n",
          "Extra data: line "),
         ("report.json", lambda text: f"[{text}]", "is not a JSON object"),
+        ("report.json", json_edit(lambda r: r["attacks"].pop("resmia")),
+         "has no resmia auc"),
+        ("report.json",
+         json_edit(lambda r: r.update(
+             per_client_auc=list(r["per_client_auc"].values()))),
+         "has per_client_auc of type list, not a JSON object"),
+        ("report.json", json_edit(lambda r: r["timing"].pop("ratio")),
+         "has timing {'resmia_probe_ms': "),
+        ("report.json",
+         json_edit(lambda r: r["attacks"]["loss"].pop("accuracy")),
+         "does not render: KeyError('accuracy')"),
         ("ablation.csv",
          lambda text: text.replace("upsample_mode,auc_resmia",
                                    "upsample_mode,auc"),
@@ -472,6 +488,8 @@ class TestOverridesAndErrors:
          "'high'\")"),
     ], ids=["report_without_schema_version", "report_without_attacks",
             "report_with_text_appended", "report_as_json_list",
+            "report_without_resmia", "per_client_auc_as_list",
+            "timing_without_ratio", "attack_without_accuracy",
             "ablation_column_renamed", "ablation_auc_not_a_number"])
     def test_report_refuses_a_damaged_input_before_writing(
             self, tmp_path, capsys, audited_run, name, edit, message):
@@ -486,6 +504,15 @@ class TestOverridesAndErrors:
         assert f"error: {damaged} {message}" in capsys.readouterr().err
         assert not (out / "roc.csv").exists()
         assert not (out / "summary.txt").exists()
+
+    def test_report_accepts_an_empty_timing(self, tmp_path, audited_run):
+        out = tmp_path / "run"
+        shutil.copytree(audited_run, out)
+        path = out / "report.json"
+        path.write_text(json_edit(lambda r: r.update(timing={}))(
+            path.read_text()))
+        assert cli.main(["report", "--out", str(out)]) == 0
+        assert "overhead" not in (out / "summary.txt").read_text()
 
     @pytest.mark.parametrize("other_config, fragments", [
         ({"dataset": {"dims": [3, 8, 8]}},

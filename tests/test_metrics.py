@@ -295,6 +295,23 @@ class TestReport:
         with pytest.raises(ValueError, match="^has no key 'attacks'$"):
             MetricsReport.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("key", ["attacks", "per_client_auc",
+                                     "query_counts", "timing", "metadata"])
+    def test_from_json_names_a_mapping_of_another_type(self, key):
+        payload = self.payload()
+        payload[key] = list(payload[key].values())
+        with pytest.raises(ValueError) as info:
+            MetricsReport.from_json(json.dumps(payload))
+        assert str(info.value) == (f"has {key} of type list, "
+                                   f"not a JSON object")
+
+    def test_from_json_names_a_client_id_that_is_not_an_int(self):
+        payload = self.payload()
+        payload["per_client_auc"]["first"] = 0.5
+        with pytest.raises(ValueError, match="^has per_client_auc invalid "
+                                             "literal for int"):
+            MetricsReport.from_json(json.dumps(payload))
+
     @pytest.mark.parametrize("text, message", [
         ("[]", "is not a JSON object"),
         ("7", "is not a JSON object"),

@@ -727,6 +727,29 @@ def tie_heavy(rng, shape):
                                dtype=np.float32), size=shape)
 
 
+def tie_heavy_images(rng, n, c, h, w):
+    """tie_heavy 4x4 blocks shared by all channels: a conv with zero bias
+    gives exact +0.0 inside the zero blocks, next to negative outputs, so
+    ReLU-then-pool and pool-then-ReLU meet windows of +0.0 and -0.0."""
+    return np.kron(tie_heavy(rng, (n, 1, h // 4, w // 4)),
+                   np.ones((1, c, 4, 4), dtype=np.float32))
+
+
+def pool_input(rng, fill, shape):
+    """A maxpool input of one of POOL_FILLS."""
+    if fill == "random":
+        return rng.standard_normal(shape).astype(np.float32)
+    if fill == "ties":
+        return tie_heavy(rng, shape)
+    if fill == "zeros":
+        return np.zeros(shape, dtype=np.float32)
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(np.float32)
+
+
+POOL_FILLS = ["random", "ties", "zeros", "signed_zeros"]
+POOL_SHAPES = [(32, 8, 32, 32), (1, 16, 16, 16), (3, 2, 6, 4)]
+
+
 # (batch, in channels, out channels, height, width)
 CONV_CASES = [(32, 3, 8, 32, 32), (32, 8, 16, 16, 16), (1, 3, 8, 32, 32),
               (1, 8, 16, 16, 16), (3, 2, 5, 6, 4)]
@@ -794,25 +817,15 @@ class TestLayerKernels:
         relu = y * (y > 0)
         pooled, cache = nn._maxpool_forward(relu)
         dx = nn._maxpool_backward(pooled, cache)
-        for a in (y, relu, pooled, cache[0], dx):
+        for a in (y, relu, pooled, cache[0], dx, nn._maxpool_values(y)):
             assert a.transpose(1, 0, 2, 3).flags.c_contiguous
 
-    @pytest.mark.parametrize("fill", ["random", "ties", "zeros",
-                                      "signed_zeros"])
+    @pytest.mark.parametrize("fill", POOL_FILLS)
     @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
-    @pytest.mark.parametrize("shape", [(32, 8, 32, 32), (1, 16, 16, 16),
-                                       (3, 2, 6, 4)], ids=str)
+    @pytest.mark.parametrize("shape", POOL_SHAPES, ids=str)
     def test_maxpool_matches_reference(self, fill, layout, shape):
         rng = np.random.default_rng(len(fill) + shape[0])
-        if fill == "random":
-            x = rng.standard_normal(shape).astype(np.float32)
-        elif fill == "ties":
-            x = tie_heavy(rng, shape)
-        elif fill == "zeros":
-            x = np.zeros(shape, dtype=np.float32)
-        else:
-            x = np.where(rng.random(shape) < 0.5, -0.0, 0.0).astype(
-                np.float32)
+        x = pool_input(rng, fill, shape)
         out_shape = (shape[0], shape[1], shape[2] // 2, shape[3] // 2)
         dy = rng.standard_normal(out_shape).astype(np.float32)
         if layout == "channels_last":
@@ -824,6 +837,21 @@ class TestLayerKernels:
         assert x_shape == cache_ref[1]
         assert_same_bits(nn._maxpool_backward(dy, (idx, x_shape)),
                          ref_maxpool_backward(dy, cache_ref))
+
+    @pytest.mark.parametrize("fill", POOL_FILLS)
+    @pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+    @pytest.mark.parametrize("shape", POOL_SHAPES, ids=str)
+    def test_values_pool_matches_maxpool_forward(self, fill, layout, shape):
+        x = pool_input(np.random.default_rng(len(fill) + shape[0]), fill,
+                       shape)
+        if layout == "channels_last":
+            x = channels_last(x)
+        y = nn._maxpool_values(x)
+        want, _ = nn._maxpool_forward(x)
+        assert y.shape == want.shape and y.dtype == want.dtype
+        # by value: -0.0 == 0.0, and NaN only where want has NaN
+        np.testing.assert_array_equal(y, want)
+        assert y.transpose(1, 0, 2, 3).flags.c_contiguous
 
     def test_maxpool_first_index_wins_signed_zero(self):
         # one window per case: max value placed at several positions
@@ -847,16 +875,23 @@ class TestLayerKernels:
         assert_same_bits(y, y_ref)
         assert np.array_equal(cache[0], cache_ref[0])
         assert cache[0].ravel().tolist() == [1, 0, 3, 2, 1]
+        np.testing.assert_array_equal(nn._maxpool_values(x), y)
         assert_same_bits(nn._maxpool_backward(dy, cache),
                          ref_maxpool_backward(dy, cache_ref))
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_gradients_match_reference_backward(self, seed):
+    @pytest.mark.parametrize("seed, fill", [
+        (0, "random"), (1, "random"), (2, "random"), (0, "tie_heavy")],
+        ids=["0", "1", "2", "tie_heavy"])
+    def test_gradients_match_reference_backward(self, seed, fill):
+        """The reference applies each conv's ReLU before its maxpool."""
         arch = nn.default_architecture(input_shape=(3, 16, 16),
                                        num_classes=4)
         params = nn.init_params(arch, seed)
         rng = np.random.default_rng(seed)
-        images = rng.random((8, 3, 16, 16), dtype=np.float32)
+        if fill == "random":
+            images = rng.random((8, 3, 16, 16), dtype=np.float32)
+        else:
+            images = tie_heavy_images(rng, 8, 3, 16, 16)
         labels = rng.integers(0, 4, size=8)
         loss, grads = nn.loss_and_gradients(params, arch, images, labels)
         ref_loss, ref_grads = reference_loss_and_gradients(
@@ -927,3 +962,62 @@ def reference_loss_and_gradients(params, arch, images, labels,
             da, grads[i]["W"], grads[i]["b"] = conv_backward(
                 da * mask, params[i]["W"], conv_cache)
     return loss, grads
+
+
+def ref_inference_forward(params, arch, x):
+    """Frozen copy of the inference forward that ran ReLU right after
+    each conv, then the argmax maxpool, and one GEMV per dense row."""
+    a = x
+    for (kind, *_), p in zip(arch.layers, params):
+        if kind == "conv":
+            a = ref_conv_forward(a, p["W"], p["b"])[0]
+        elif kind == "maxpool":
+            a = ref_maxpool_forward(a)[0]
+        elif kind == "flatten":
+            a = a.reshape(a.shape[0], -1)
+        else:
+            a = (a[:, None] @ p["W"])[:, 0] + p["b"]
+        if kind in ("conv", "dense_relu"):
+            a = a * (a > 0)
+    return a
+
+
+def dead_channel_params(arch, seed):
+    """init_params with one all-zero output channel, W and b, per conv."""
+    params = nn.init_params(arch, seed)
+    for (kind, *_), p in zip(arch.layers, params):
+        if kind == "conv":
+            p["W"][1] = 0.0
+            p["b"][1] = 0.0
+    return params
+
+
+class TestInferenceForward:
+    @pytest.mark.parametrize("n", [1, 8])
+    @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead"])
+    @pytest.mark.parametrize("fill", ["random", "tie_heavy"])
+    def test_matches_relu_before_pool_reference(self, fill, dead, n):
+        arch = nn.default_architecture()
+        params = (dead_channel_params if dead else nn.init_params)(arch, n)
+        rng = np.random.default_rng(n)
+        if fill == "random":
+            images = rng.random((n, 3, 32, 32), dtype=np.float32)
+        else:
+            images = tie_heavy_images(rng, n, 3, 32, 32)
+        want = ref_inference_forward(params, arch, images)
+        assert_same_bits(nn.forward_batch(params, arch, images), want)
+        model = nn.Model(arch=arch, params=params)
+        assert_same_bits(model.query_batch(images), nn._softmax(want))
+
+    def test_tie_heavy_images_give_signed_zero_ties(self):
+        """The case above is not vacuous: the two orders give the first
+        pooled activations different zero signs, equal values."""
+        arch = nn.default_architecture()
+        params = dead_channel_params(arch, 8)
+        images = tie_heavy_images(np.random.default_rng(8), 8, 3, 32, 32)
+        y = ref_conv_forward(images, params[0]["W"], params[0]["b"])[0]
+        before = ref_maxpool_forward(y * (y > 0))[0]
+        pooled = nn._maxpool_values(y)
+        after = pooled * (pooled > 0)
+        np.testing.assert_array_equal(after, before)
+        assert np.any(np.signbit(after) != np.signbit(before))
