@@ -247,11 +247,10 @@ def cmd_train(cfg, workers):
     nn.save_checkpoint(ckpt_path, model)
 
     log_path = os.path.join(out_dir, "training_log.csv")
-    metrics.write_csv(
-        log_path, ["round", "train_acc", "test_acc", "mean_client_loss"],
-        ([row["round"], repr(row["train_acc"]), repr(row["test_acc"]),
-          repr(row["mean_client_loss"])] for row in log),
-        output_metadata(cfg))
+    columns = ["round", "train_acc", "test_acc", "mean_client_loss"]
+    metrics.write_csv(log_path, columns,
+                      ([row[k] for k in columns] for row in log),
+                      output_metadata(cfg))
     if log:
         final = log[-1]
         print(f"trained {cfg['fed']['rounds']} rounds: "
@@ -348,8 +347,7 @@ def cmd_ablate(cfg, checkpoint):
         scores = [(r.scores["resmia"], r.is_member) for r in records]
         rows.append((mode, metrics.auc(metrics.roc_curve(scores))))
     path = os.path.join(out_dir, "ablation.csv")
-    metrics.write_csv(path, ["upsample_mode", "auc_resmia"],
-                      ([mode, repr(value)] for mode, value in rows),
+    metrics.write_csv(path, ["upsample_mode", "auc_resmia"], rows,
                       output_metadata(cfg))
     for mode, value in rows:
         print(f"{mode}: auc={value:.3f}")
@@ -399,8 +397,8 @@ def cmd_report(out_dir):
                          f"or the numbers {', '.join(_TIMING_KEYS)}")
     curves = {}
     for name in attacks.ATTACK_NAMES:
-        scores = [(r.scores[name], r.is_member) for r in records]
-        curves[name] = metrics.roc_curve(scores)
+        curves[name] = metrics.roc_curve((r.scores[name], r.is_member)
+                                         for r in records)
         # both come from the same repr-exact scores through the same
         # sweep, so the two files agree only if the AUCs are equal
         got, want = metrics.auc(curves[name]), report.attacks[name]["auc"]

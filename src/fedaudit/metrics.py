@@ -3,8 +3,15 @@
 The ROC construction sweeps all distinct score thresholds with tied
 scores grouped (samples sharing a score enter the positive set
 together), so constant scores yield exactly the diagonal.
+
+build_report sweeps each attack once: one sort, with the counts cut at
+the end of each tie group, gives the curve, AUC, best-threshold accuracy
+and FPR at 80% TPR, and each client's resmia subset is taken from the
+resmia sort order.  Counts at group ends do not depend on the order
+within a tie, so this gives the bits of sorting each pair list afresh.
 """
 
+import contextlib
 import csv
 import itertools
 import json
@@ -19,36 +26,81 @@ class DegenerateScoresError(ValueError):
     """Raised when a score set has only one class."""
 
 
-def _split_scores(scores):
-    vals = np.array([s for s, _ in scores], dtype=np.float64)
-    labels = np.array([bool(m) for _, m in scores])
-    n_pos = int(labels.sum())
-    if n_pos == 0 or n_pos == len(labels):
+def _pairs(scores):
+    """(scores, member mask) arrays of an iterable of (score, is_member)
+    pairs, read in one pass."""
+    pairs = np.fromiter(map(tuple, scores),
+                        [("score", np.float64), ("member", bool)])
+    return pairs["score"], pairs["member"]
+
+
+def _columns(records, names):
+    """The member mask of records and their scores of each named attack,
+    as arrays."""
+    n = len(records)
+    member = np.fromiter((r.is_member for r in records), bool, n)
+    return member, {name: np.fromiter((r.scores[name] for r in records),
+                                      np.float64, n) for name in names}
+
+
+def _cut(vals, member):
+    """Group ends of vals sorted high to low, and the member / non-member
+    counts scoring >= each: (last, tps, fps)."""
+    last = np.nonzero(np.diff(vals, append=-np.inf))[0]
+    tps = np.cumsum(member)[last]
+    return last, tps, last + 1 - tps
+
+
+def _tie_groups(vals, member):
+    """One attack's sweep: (order, thresholds, tps, fps).
+
+    order sorts vals high to low (stable); thresholds holds the score of
+    each tie group and tps / fps the cumulative counts scoring >= it, so
+    tps[-1] and fps[-1] are the class sizes.
+    """
+    n_pos = int(np.count_nonzero(member))
+    if n_pos == 0 or n_pos == len(member):
         raise DegenerateScoresError(
             "need at least one member and one non-member")
-    return vals, labels, n_pos
-
-
-def _tie_groups(scores):
-    """Scores sorted high to low, cut at the end of each tie group.
-
-    Returns (vals, tps, fps, n_pos, n_neg): the score of each group and
-    the cumulative member / non-member counts scoring >= it.
-    """
-    vals, labels, n_pos = _split_scores(scores)
     order = np.argsort(-vals, kind="stable")
-    vals, labels = vals[order], labels[order]
-    last = np.nonzero(np.diff(vals, append=-np.inf))[0]
-    tps = np.cumsum(labels)[last]
-    fps = np.cumsum(~labels)[last]
-    return vals[last], tps, fps, n_pos, len(labels) - n_pos
+    vals = vals[order]
+    last, tps, fps = _cut(vals, member[order])
+    return order, vals[last], tps, fps
+
+
+def _curve(tps, fps):
+    return np.column_stack((np.r_[0, fps] / int(fps[-1]),
+                            np.r_[0, tps] / int(tps[-1])))
+
+
+def _best_accuracy(thresholds, tps, fps):
+    n_pos, n_neg = int(tps[-1]), int(fps[-1])
+    acc = (tps + n_neg - fps) / (n_pos + n_neg)
+    best = len(acc) - 1 - int(np.argmax(acc[::-1]))  # last = lowest thr
+    return float(acc[best]), float(thresholds[best])
+
+
+def _client_aucs(records, vals, order):
+    """Resmia AUC of each client's members against all non-members; each
+    client's subset is cut out of the resmia sweep's order."""
+    ids = {}
+    code = np.fromiter((ids.setdefault(r.client_id, len(ids))
+                        if r.is_member else -1 for r in records),
+                       np.intp, len(records))[order]
+    vals, non_member = vals[order], code < 0
+    aucs = {}
+    for cid in sorted(ids):
+        keep = non_member | (code == ids[cid])
+        _, tps, fps = _cut(vals[keep], ~non_member[keep])
+        aucs[cid] = auc(_curve(tps, fps))
+    return aucs
 
 
 def roc_curve(scores) -> np.ndarray:
     """(M, 2) rows of (fpr, tpr) from (0, 0) to (1, 1); scores: iterable
     of (score, is_member), higher = more member-like."""
-    _, tps, fps, n_pos, n_neg = _tie_groups(scores)
-    return np.column_stack((np.r_[0, fps] / n_neg, np.r_[0, tps] / n_pos))
+    _, _, tps, fps = _tie_groups(*_pairs(scores))
+    return _curve(tps, fps)
 
 
 def auc(curve) -> float:
@@ -79,27 +131,19 @@ def accuracy_at_best_threshold(scores):
     chosen on the evaluation scores themselves (oracle-threshold
     accuracy); accuracy ties resolve toward the lower threshold.
     """
-    vals, tps, fps, n_pos, n_neg = _tie_groups(scores)
-    acc = (tps + n_neg - fps) / (n_pos + n_neg)
-    best = len(acc) - 1 - int(np.argmax(acc[::-1]))  # last = lowest thr
-    return float(acc[best]), float(vals[best])
+    _, thresholds, tps, fps = _tie_groups(*_pairs(scores))
+    return _best_accuracy(thresholds, tps, fps)
 
 
 def per_client_auc(records):
     """Resmia AUC of each client's members against all non-members."""
-    non_member = [(r.scores["resmia"], False) for r in records
-                  if not r.is_member]
-    if not non_member:
+    member, columns = _columns(records, ["resmia"])
+    if member.all():
         raise DegenerateScoresError("no non-member records")
-    by_client = {}
-    for r in records:
-        if r.is_member:
-            by_client.setdefault(r.client_id, []).append(
-                (r.scores["resmia"], True))
-    if not by_client:
+    if not member.any():
         raise DegenerateScoresError("no member records")
-    return {cid: auc(roc_curve(member + non_member))
-            for cid, member in sorted(by_client.items())}
+    vals = columns["resmia"]
+    return _client_aucs(records, vals, _tie_groups(vals, member)[0])
 
 
 @dataclass
@@ -161,18 +205,19 @@ class MetricsReport:
 def build_report(records, erosion_steps, timing=None,
                  metadata=None) -> MetricsReport:
     """Assemble the full metrics report from scored attack records."""
-    attacks = {}
-    for name in sorted(records[0].scores):
-        scores = [(r.scores[name], r.is_member) for r in records]
-        curve = roc_curve(scores)
-        acc, thr = accuracy_at_best_threshold(scores)
+    member, columns = _columns(records, sorted(records[0].scores))
+    attacks, orders = {}, {}
+    for name, vals in columns.items():
+        orders[name], thresholds, tps, fps = _tie_groups(vals, member)
+        curve = _curve(tps, fps)
+        acc, thr = _best_accuracy(thresholds, tps, fps)
         attacks[name] = {
             "auc": auc(curve),
             "accuracy": acc,
             "fpr_at_tpr80": fpr_at_tpr(curve, 0.8),
             "threshold": thr,
         }
-    clients = per_client_auc(records)
+    clients = _client_aucs(records, columns["resmia"], orders["resmia"])
     return MetricsReport(
         attacks=attacks,
         per_client=clients,
@@ -185,15 +230,18 @@ def build_report(records, erosion_steps, timing=None,
 def write_roc_csv(path, curves_by_attack, metadata=None):
     """ROC polylines as CSV rows (attack, fpr, tpr)."""
     write_csv(path, ["attack", "fpr", "tpr"],
-              ([name, repr(float(fpr)), repr(float(tpr))]
-               for name in sorted(curves_by_attack)
-               for fpr, tpr in curves_by_attack[name]),
+              ((name, fpr, tpr) for name in sorted(curves_by_attack)
+               for fpr, tpr in zip(*curves_by_attack[name].T.tolist())),
               metadata)
 
 
 # ---------------------------------------------------------------------------
 # results-CSV format, shared by every output file: a `# key=value`
 # metadata preamble (keys sorted), then a header row and data rows
+
+# lines per write: the file is never one string, and 4096-line blocks
+# raised the memory peak of a 20 000-record report
+_CSV_BLOCK = 2048
 
 
 def preamble(metadata):
@@ -203,13 +251,32 @@ def preamble(metadata):
 
 
 def write_csv(path, header, rows, metadata=None):
-    """Write preamble, header and rows; cells are written as given, so
-    callers format floats with repr for byte-identical reruns."""
+    """Write preamble, header and rows (sequences of header's length).
+
+    Each cell is written with str, so a float is its repr and reruns are
+    byte-identical; lines end in "\r\n", as csv.writer's do.  Nothing is
+    quoted: a row of another length, or a cell holding ',', '"', '\r' or
+    '\n', raises ValueError naming the file.
+    """
+    width = len(header)
+    line = ",".join(["%s"] * width) + "\r\n"
+    rows = itertools.chain([header], rows)
     with open(path, "w", newline="") as fh:
         fh.write(preamble(metadata))
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            try:
+                text = "".join([line % tuple(row) for row in block])
+            except TypeError as exc:  # a cell too many or too few
+                raise ValueError(f"{path}: a row does not have the "
+                                 f"header's {width} cells") from exc
+            # counted per block: a cell that needs quoting shifts a count
+            n = len(block)
+            if (text.count(",") != (width - 1) * n or '"' in text
+                    or text.count("\r") != n or text.count("\n") != n):
+                raise ValueError(f"{path}: a cell holds a comma, a quote "
+                                 f"or a line break, which would need "
+                                 f"quoting")
+            fh.write(text)
 
 
 def read_csv(path):
@@ -217,13 +284,26 @@ def read_csv(path):
 
     The preamble is read up front; rows stream as dicts keyed by the
     header, and the file closes when they are exhausted or the iterator
-    is closed.
+    is closed.  A row whose field count differs from the header's raises
+    ValueError naming its data row.
     """
     rows = _read_csv(path)
-    return rows, next(rows)
+    return _dict_rows(rows), next(rows)
+
+
+def _dict_rows(rows):
+    with contextlib.closing(rows):
+        header = next(rows, [])
+        for i, row in enumerate(rows, 1):
+            if len(row) != len(header):
+                raise ValueError(f"data row {i} has {len(row)} fields, "
+                                 f"the header {len(header)}")
+            yield dict(zip(header, row))
 
 
 def _read_csv(path):
+    """Yields the preamble's metadata, then the header and each data row
+    as lists of strings."""
     with open(path, newline="") as fh:
         metadata = {}
         line = fh.readline()
@@ -232,4 +312,4 @@ def _read_csv(path):
             metadata[key] = value
             line = fh.readline()
         yield metadata
-        yield from csv.DictReader(itertools.chain([line], fh))
+        yield from csv.reader(itertools.chain([line], fh))

@@ -288,6 +288,48 @@ class TestScoresCsv:
                            match=f"^{re.escape(str(path))}: data row 2 "):
             read_scores_csv(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line + ",999", "too many values to unpack"),
+        (lambda line: line.rsplit(",", 1)[0], "not enough values to unpack"),
+    ], ids=["extra_field", "missing_field"])
+    def test_row_of_another_width_names_path_and_row(self, tmp_path, edit,
+                                                     message):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, self.make_records(), metadata={"seed": 1})
+        lines = path.read_text().splitlines()
+        lines[3] = edit(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(attacks.ScoresCsvError,
+                           match=f"^{re.escape(str(path))}: data row 2 "
+                                 f"does not parse: .*{message}"):
+            read_scores_csv(path)
+
+    def test_the_seen_extra_field_row_is_refused(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        path.write_text(",".join(attacks.SCORES_CSV_COLUMNS) + "\n"
+                        "1,0,1,0.5,0.9,-0.1,4\n"
+                        "1000000,nonmember,0,0.0,0.4,-0.5,4,999\n")
+        with pytest.raises(attacks.ScoresCsvError, match="data row 2 "):
+            read_scores_csv(path)
+
+    @pytest.mark.parametrize("header", [
+        "sample_id,client_id,is_member,score_resmia,score_loss,"
+        "score_entropy",
+        "sample_id,client_id,is_member,score_loss,score_resmia,"
+        "score_entropy,queries_resmia",
+        "",
+    ], ids=["short", "swapped", "blank"])
+    def test_another_header_fails_at_row_1(self, tmp_path, header):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, self.make_records(), metadata={"seed": 1})
+        lines = path.read_text().splitlines()
+        lines[1] = header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(attacks.ScoresCsvError,
+                           match=f"^{re.escape(str(path))}: data row 1 "
+                                 f"does not parse: .*header"):
+            read_scores_csv(path)
+
     def test_scores_csv_error_is_value_error(self):
         assert issubclass(attacks.ScoresCsvError, ValueError)
 

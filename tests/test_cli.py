@@ -486,11 +486,17 @@ class TestOverridesAndErrors:
                              flags=re.M),
          "does not parse: ValueError(\"could not convert string to float: "
          "'high'\")"),
+        ("ablation.csv",
+         lambda text: re.sub(r"^(bilinear,.*)$", r"\1,999", text,
+                             flags=re.M),
+         "does not parse: ValueError('data row 2 has 3 fields, the header "
+         "2')"),
     ], ids=["report_without_schema_version", "report_without_attacks",
             "report_with_text_appended", "report_as_json_list",
             "report_without_resmia", "per_client_auc_as_list",
             "timing_without_ratio", "attack_without_accuracy",
-            "ablation_column_renamed", "ablation_auc_not_a_number"])
+            "ablation_column_renamed", "ablation_auc_not_a_number",
+            "ablation_extra_field"])
     def test_report_refuses_a_damaged_input_before_writing(
             self, tmp_path, capsys, audited_run, name, edit, message):
         out = tmp_path / "run"

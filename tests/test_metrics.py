@@ -1,13 +1,14 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from fedaudit.attacks import AttackRecord
+from fedaudit.attacks import AttackRecord, write_scores_csv
 from fedaudit.metrics import (REPORT_SCHEMA_VERSION, DegenerateScoresError,
                               MetricsReport, accuracy_at_best_threshold, auc,
                               build_report, fpr_at_tpr, per_client_auc,
-                              roc_curve, write_roc_csv)
+                              read_csv, roc_curve, write_csv, write_roc_csv)
 
 HAND_SCORES = [(0.9, True), (0.4, True), (0.6, False), (0.1, False)]
 
@@ -91,6 +92,14 @@ class TestRocCurve:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateScoresError):
             roc_curve([(0.5, True), (0.2, True)])
+
+    def test_one_shot_iterable_gives_the_list_curve(self):
+        rng = np.random.default_rng(6)
+        scores = random_scores(rng, 9, 14, ties=True)
+        want = roc_curve(scores)
+        assert np.array_equal(roc_curve(iter(scores)), want)
+        assert np.array_equal(roc_curve(p for p in scores), want)
+        assert np.array_equal(roc_curve([list(p) for p in scores]), want)
 
 
 class TestAuc:
@@ -192,6 +201,12 @@ class TestAccuracy:
         with pytest.raises(DegenerateScoresError):
             accuracy_at_best_threshold([(0.1, False), (0.2, False)])
 
+    def test_one_shot_iterable_gives_the_list_accuracy(self):
+        rng = np.random.default_rng(7)
+        scores = random_scores(rng, 11, 6, ties=True)
+        assert (accuracy_at_best_threshold(p for p in scores)
+                == accuracy_at_best_threshold(scores))
+
 
 def make_records(client_scores, non_scores):
     """client_scores: {client_id: [member resmia scores]}."""
@@ -239,6 +254,98 @@ class TestPerClientAuc:
         records = make_records({0: [0.5]}, [])
         with pytest.raises(DegenerateScoresError):
             per_client_auc(records)
+
+    @pytest.mark.parametrize("records, message", [
+        ([], "no non-member records"),
+        (make_records({}, [0.5, 0.2]), "no member records"),
+    ], ids=["empty", "no_members"])
+    def test_one_class_named(self, records, message):
+        with pytest.raises(DegenerateScoresError, match=message):
+            per_client_auc(records)
+
+
+def reference_report(records, erosion_steps):
+    """build_report assembled from the public per-function calls, each
+    sorting its own pair list."""
+    attacks = {}
+    for name in sorted(records[0].scores):
+        scores = [(r.scores[name], r.is_member) for r in records]
+        curve = roc_curve(scores)
+        acc, thr = accuracy_at_best_threshold(scores)
+        attacks[name] = {"auc": auc(curve), "accuracy": acc,
+                         "fpr_at_tpr80": fpr_at_tpr(curve, 0.8),
+                         "threshold": thr}
+    non_member = [(r.scores["resmia"], False) for r in records
+                  if not r.is_member]
+    by_client = {}
+    for r in records:
+        if r.is_member:
+            by_client.setdefault(r.client_id, []).append(
+                (r.scores["resmia"], True))
+    clients = {cid: auc(roc_curve(member + non_member))
+               for cid, member in sorted(by_client.items())}
+    return MetricsReport(
+        attacks=attacks, per_client=clients,
+        client_auc_std=float(np.std(list(clients.values()))),
+        query_counts={"resmia": erosion_steps + 1, "loss": 1,
+                      "entropy": 1})
+
+
+def tied_records(seed):
+    """Shuffled records whose scores take a few values, +0.0 and -0.0
+    among them; client ids come out of order and client 5 has one
+    member."""
+    rng = np.random.default_rng(seed)
+    cids = [5] + [int(c) for c in rng.choice([7, 2, 9, 0], 60)]
+    n = len(cids) + 45
+    levels = np.array([-0.5, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0])
+    values = levels[rng.integers(0, len(levels), (3, n))]
+    values[0, :len(cids)] += 0.25 * rng.integers(0, 2, len(cids))
+    records = [AttackRecord(i, cids[i] if i < len(cids) else "nonmember",
+                            i < len(cids),
+                            {name: float(v[i]) for name, v in
+                             zip(("resmia", "loss", "entropy"), values)}, 4)
+               for i in range(n)]
+    return [records[i] for i in rng.permutation(n)]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_report_equals_the_per_function_reference(self, seed):
+        records = tied_records(seed)
+        report = build_report(records, erosion_steps=3)
+        want = reference_report(records, 3)
+        assert report == want
+        assert report.to_json() == want.to_json()  # -0.0 thresholds too
+        assert per_client_auc(records) == want.per_client
+        assert list(report.per_client) == [0, 2, 5, 7, 9]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_report_matches_the_oracles(self, seed):
+        records = tied_records(seed)
+        report = build_report(records, erosion_steps=3)
+        for name, row in report.attacks.items():
+            scores = [(r.scores[name], r.is_member) for r in records]
+            assert row["auc"] == pytest.approx(mann_whitney_auc(scores))
+            assert (row["accuracy"], row["threshold"]) == pytest.approx(
+                best_accuracy_oracle(scores))
+        non_member = [(r.scores["resmia"], False) for r in records
+                      if not r.is_member]
+        for cid, value in report.per_client.items():
+            member = [(r.scores["resmia"], True) for r in records
+                      if r.is_member and r.client_id == cid]
+            assert value == pytest.approx(
+                mann_whitney_auc(member + non_member))
+
+    def test_records_have_mixed_ties(self):
+        """Several tie values hold both members and non-members, so the
+        sweep tests see counts inside tie groups."""
+        records = tied_records(0)
+        for name in ("resmia", "loss", "entropy"):
+            by_value = {}
+            for r in records:
+                by_value.setdefault(r.scores[name], set()).add(r.is_member)
+            assert sum(len(kinds) == 2 for kinds in by_value.values()) >= 4
 
 
 class TestReport:
@@ -330,6 +437,119 @@ class TestReport:
         report = build_report(records, erosion_steps=3)
         assert sorted(report.per_client) == list(range(7))
         assert report.client_auc_std >= 0.0
+
+
+def reference_write_csv(path, header, rows, metadata=None):
+    """The results-CSV writer as it was, frozen: the preamble, then
+    csv.writer over the cells with every float formatted by repr."""
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(f"# {key}={metadata[key]}\n"
+                         for key in sorted(metadata or {})))
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(c) if isinstance(c, float) else c
+                          for c in row] for row in rows)
+
+
+ODD_FLOATS = [-0.0, 1e-05, 5e-324, float("nan"), 0.1, -1.7976931348623157e308]
+
+
+class TestCsvFormat:
+    META = {"seed": 3, "config_hash": "abc"}
+
+    def both(self, tmp_path, header, rows, write):
+        """Bytes of write(path) and of the frozen writer on rows."""
+        write(tmp_path / "new.csv")
+        reference_write_csv(tmp_path / "ref.csv", header, rows, self.META)
+        return ((tmp_path / "new.csv").read_bytes(),
+                (tmp_path / "ref.csv").read_bytes())
+
+    def test_training_log_bytes(self, tmp_path):
+        columns = ["round", "train_acc", "test_acc", "mean_client_loss"]
+        log = [{"round": i + 1, "train_acc": a, "test_acc": b,
+                "mean_client_loss": c}
+               for i, (a, b, c) in enumerate(zip(
+                   ODD_FLOATS, ODD_FLOATS[::-1], [2.302585092994046] * 6))]
+        rows = [[row[k] for k in columns] for row in log]
+        new, ref = self.both(tmp_path, columns, rows, lambda p: write_csv(
+            p, columns, ([row[k] for k in columns] for row in log),
+            self.META))
+        assert new == ref
+        assert b"nan" in new and b"5e-324" in new
+
+    def test_scores_bytes(self, tmp_path):
+        records = [AttackRecord(i, "nonmember" if i % 2 else i % 3,
+                                i % 2 == 0,
+                                {"resmia": v, "loss": ODD_FLOATS[i - 1],
+                                 "entropy": -v}, 4)
+                   for i, v in enumerate(ODD_FLOATS)]
+        rows = [[r.sample_id, r.client_id, int(r.is_member),
+                 r.scores["resmia"], r.scores["loss"], r.scores["entropy"],
+                 r.queries_resmia] for r in records]
+        new, ref = self.both(
+            tmp_path, ["sample_id", "client_id", "is_member",
+                       "score_resmia", "score_loss", "score_entropy",
+                       "queries_resmia"], rows,
+            lambda p: write_scores_csv(p, records, self.META))
+        assert new == ref
+        for text in (b"nonmember", b"-0.0", b"1e-05", b"5e-324"):
+            assert text in new
+
+    def test_ablation_bytes(self, tmp_path):
+        rows = [("nearest", 0.8125), ("bilinear", 1 / 3)]
+        header = ["upsample_mode", "auc_resmia"]
+        new, ref = self.both(tmp_path, header, rows, lambda p: write_csv(
+            p, header, rows, self.META))
+        assert new == ref
+
+    def test_roc_bytes_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(8)
+        curves = {name: roc_curve(random_scores(rng, 1500, 1700 + i))
+                  for i, name in enumerate(["resmia", "loss", "entropy"])}
+        rows = [[name, float(fpr), float(tpr)] for name in sorted(curves)
+                for fpr, tpr in curves[name]]
+        assert len(rows) > 4 * 2048  # several blocks
+        new, ref = self.both(tmp_path, ["attack", "fpr", "tpr"], rows,
+                             lambda p: write_roc_csv(p, curves, self.META))
+        assert new == ref
+
+    @pytest.mark.parametrize("cell", [",", '"', "\n", "\r", "a,b",
+                                      'say "hi"', "two\r\nlines"])
+    def test_refuses_a_cell_that_needs_quoting(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        rows = [("ok", 1.0)] * 3000 + [(cell, 2.0)]
+        with pytest.raises(ValueError, match="would need quoting") as info:
+            write_csv(path, ["name", "value"], rows)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("row", [(1,), (1, 2, 3)],
+                             ids=["short", "long"])
+    def test_refuses_a_row_of_another_length(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="header's 2 cells") as info:
+            write_csv(path, ["a", "b"], [(0, 1), row])
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line + ",999", "data row 2 has 3 fields, the header 2"),
+        (lambda line: line.split(",")[0], "data row 2 has 1 fields"),
+        (lambda line: "", "data row 2 has 0 fields"),
+    ], ids=["extra_field", "missing_field", "blank_row"])
+    def test_read_csv_refuses_a_row_of_another_width(self, tmp_path, edit,
+                                                     message):
+        path = tmp_path / "ablation.csv"
+        write_csv(path, ["upsample_mode", "auc_resmia"],
+                  [("nearest", 0.75), ("bilinear", 0.5), ("area", 0.25)],
+                  {"seed": 0})
+        lines = path.read_text().splitlines()
+        lines[3] = edit(lines[3])
+        path.write_text("\n".join(lines) + "\n")
+        rows, meta = read_csv(path)
+        assert meta == {"seed": "0"}
+        assert next(rows) == {"upsample_mode": "nearest",
+                              "auc_resmia": "0.75"}
+        with pytest.raises(ValueError, match=message):
+            list(rows)
 
 
 class TestRocCsv:
