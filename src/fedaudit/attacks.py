@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import _read_csv, write_csv
+from .metrics import read_csv, write_csv
 from .tensors import ErosionConfig, erosion_sequence
 
 ATTACK_NAMES = ("resmia", "loss", "entropy")
@@ -205,13 +205,9 @@ def read_scores_csv(path):
     header other than SCORES_CSV_COLUMNS fails at row 1.
     """
     records = []
-    rows = _read_csv(path)
+    rows = read_csv(path, SCORES_CSV_COLUMNS)
     try:
         metadata = next(rows)
-        header = next(rows, None)
-        if header != list(SCORES_CSV_COLUMNS):
-            raise ValueError(f"header {header!r} is not "
-                             f"{','.join(SCORES_CSV_COLUMNS)}")
         for sid, cid, member, resmia, loss, entropy, queries in rows:
             # positional: a third faster than keywords on 20 000 rows
             records.append(AttackRecord(

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -123,6 +124,9 @@ def _check_types(value, like, name):
         types, kind = _KINDS[type(like)]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"{name} must be {kind}, got {value!r}")
+        # json.load parses NaN and Infinity
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 def validate_config(cfg):
@@ -369,13 +373,16 @@ def cmd_report(out_dir):
     ablation_path = os.path.join(out_dir, "ablation.csv")
     inputs, ablation = {report_path: report.metadata}, None
     if os.path.exists(ablation_path):
+        rows = metrics.read_csv(ablation_path,
+                                ["upsample_mode", "auc_resmia"])
         try:
-            rows, inputs[ablation_path] = metrics.read_csv(ablation_path)
-            ablation = [(row["upsample_mode"], float(row["auc_resmia"]))
-                        for row in rows]
-        except (KeyError, TypeError, ValueError, csv.Error) as exc:
+            inputs[ablation_path] = next(rows)
+            ablation = [(mode, float(value)) for mode, value in rows]
+        except (ValueError, csv.Error) as exc:
             raise ValueError(f"{ablation_path} does not parse: "
                              f"{exc!r}") from exc
+        finally:
+            rows.close()
     # every input must come from the run that wrote scores.csv
     for path, other in inputs.items():
         for key in ("seed", "config_hash"):
@@ -384,31 +391,28 @@ def cmd_report(out_dir):
                 raise ValueError(f"{path} has {key} {got}, "
                                  f"{scores_path} has {key} {want}")
 
-    # the values the summary shows must be whole before any file is written
-    for name in attacks.ATTACK_NAMES:
-        row = report.attacks.get(name)
-        if not isinstance(row, dict) or "auc" not in row:
-            raise ValueError(f"{report_path} has no {name} auc")
     timing = report.timing
     if timing and (sorted(timing) != sorted(_TIMING_KEYS) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
             for v in timing.values())):
         raise ValueError(f"{report_path} has timing {timing!r}, not {{}} "
                          f"or the numbers {', '.join(_TIMING_KEYS)}")
-    curves = {}
-    for name in attacks.ATTACK_NAMES:
-        curves[name] = metrics.roc_curve((r.scores[name], r.is_member)
-                                         for r in records)
-        # both come from the same repr-exact scores through the same
-        # sweep, so the two files agree only if the AUCs are equal
-        got, want = metrics.auc(curves[name]), report.attacks[name]["auc"]
-        if got != want:
-            raise ValueError(f"{scores_path} gives {name} auc {got!r}, "
-                             f"{report_path} says {want!r}")
+    queries = {r.queries_resmia for r in records}
+    if len(queries) != 1:  # none in a scores.csv without data rows
+        raise ValueError(f"{scores_path} has queries_resmia values "
+                         f"{sorted(queries)}, not one value")
     try:
-        text = _summary_text(report, ablation)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{report_path} does not render: {exc!r}") from exc
+        rebuilt, curves = metrics.report_and_curves(
+            records, queries.pop() - 1, timing, report.metadata)
+    except metrics.DegenerateScoresError as exc:
+        raise ValueError(f"{scores_path}: {exc}") from exc
+    # the summary shows the rebuilt values, so the file must hold them
+    got, want = report.derived(), rebuilt.derived()
+    for key in want:
+        if got[key] != want[key]:
+            raise ValueError(f"{report_path} has {key} {got[key]!r}, "
+                             f"{scores_path} gives {want[key]!r}")
+    text = _summary_text(rebuilt, ablation)
     roc_path = os.path.join(out_dir, "roc.csv")
     metrics.write_roc_csv(roc_path, curves, metadata=meta)
     summary_path = os.path.join(out_dir, "summary.txt")

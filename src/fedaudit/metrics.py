@@ -4,14 +4,14 @@ The ROC construction sweeps all distinct score thresholds with tied
 scores grouped (samples sharing a score enter the positive set
 together), so constant scores yield exactly the diagonal.
 
-build_report sweeps each attack once: one sort, with the counts cut at
-the end of each tie group, gives the curve, AUC, best-threshold accuracy
-and FPR at 80% TPR, and each client's resmia subset is taken from the
-resmia sort order.  Counts at group ends do not depend on the order
-within a tie, so this gives the bits of sorting each pair list afresh.
+report_and_curves sweeps each attack once: one sort, with the counts cut
+at the end of each tie group, gives the curve, AUC, best-threshold
+accuracy and FPR at 80% TPR, and each client's resmia subset is taken
+from the resmia sort order.  Counts at group ends do not depend on the
+order within a tie, so this gives the bits of sorting each pair list
+afresh.
 """
 
-import contextlib
 import csv
 import itertools
 import json
@@ -23,7 +23,7 @@ REPORT_SCHEMA_VERSION = 1
 
 
 class DegenerateScoresError(ValueError):
-    """Raised when a score set has only one class."""
+    """Raised when a score set has only one class or a non-finite score."""
 
 
 def _pairs(scores):
@@ -51,17 +51,22 @@ def _cut(vals, member):
     return last, tps, last + 1 - tps
 
 
-def _tie_groups(vals, member):
+def _tie_groups(vals, member, attack="the"):
     """One attack's sweep: (order, thresholds, tps, fps).
 
     order sorts vals high to low (stable); thresholds holds the score of
     each tie group and tps / fps the cumulative counts scoring >= it, so
-    tps[-1] and fps[-1] are the class sizes.
+    tps[-1] and fps[-1] are the class sizes.  A NaN would be a tie group
+    of its own, ranked by input order, so non-finite scores are refused.
     """
     n_pos = int(np.count_nonzero(member))
     if n_pos == 0 or n_pos == len(member):
         raise DegenerateScoresError(
             "need at least one member and one non-member")
+    bad = len(vals) - int(np.count_nonzero(np.isfinite(vals)))
+    if bad:
+        raise DegenerateScoresError(
+            f"{attack} scores hold {bad} non-finite values")
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     last, tps, fps = _cut(vals, member[order])
@@ -155,17 +160,20 @@ class MetricsReport:
     timing: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
+    def derived(self) -> dict:
+        """The fields that follow from the scored records, by JSON name;
+        timing and metadata do not."""
+        return {"attacks": self.attacks,
+                "per_client_auc": {str(k): v
+                                   for k, v in self.per_client.items()},
+                "client_auc_std": self.client_auc_std,
+                "query_counts": self.query_counts}
+
     def to_json(self) -> str:
-        payload = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "attacks": self.attacks,
-            "per_client_auc": {str(k): v for k, v in self.per_client.items()},
-            "client_auc_std": self.client_auc_std,
-            "query_counts": self.query_counts,
-            "timing": self.timing,
-            "metadata": self.metadata,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        payload = {"schema_version": REPORT_SCHEMA_VERSION, **self.derived(),
+                   "timing": self.timing, "metadata": self.metadata}
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str):
@@ -205,11 +213,17 @@ class MetricsReport:
 def build_report(records, erosion_steps, timing=None,
                  metadata=None) -> MetricsReport:
     """Assemble the full metrics report from scored attack records."""
+    return report_and_curves(records, erosion_steps, timing, metadata)[0]
+
+
+def report_and_curves(records, erosion_steps, timing=None, metadata=None):
+    """build_report's report, and each attack's (M, 2) ROC curve from the
+    sweep that gave its row: (MetricsReport, {name: curve})."""
     member, columns = _columns(records, sorted(records[0].scores))
-    attacks, orders = {}, {}
+    attacks, orders, curves = {}, {}, {}
     for name, vals in columns.items():
-        orders[name], thresholds, tps, fps = _tie_groups(vals, member)
-        curve = _curve(tps, fps)
+        orders[name], thresholds, tps, fps = _tie_groups(vals, member, name)
+        curves[name] = curve = _curve(tps, fps)
         acc, thr = _best_accuracy(thresholds, tps, fps)
         attacks[name] = {
             "auc": auc(curve),
@@ -224,7 +238,7 @@ def build_report(records, erosion_steps, timing=None,
         client_auc_std=float(np.std(list(clients.values()))),
         query_counts={"resmia": erosion_steps + 1, "loss": 1, "entropy": 1},
         timing=timing or {},
-        metadata=metadata or {})
+        metadata=metadata or {}), curves
 
 
 def write_roc_csv(path, curves_by_attack, metadata=None):
@@ -279,31 +293,11 @@ def write_csv(path, header, rows, metadata=None):
             fh.write(text)
 
 
-def read_csv(path):
-    """Inverse of write_csv: returns (row iterator, metadata).
-
-    The preamble is read up front; rows stream as dicts keyed by the
-    header, and the file closes when they are exhausted or the iterator
-    is closed.  A row whose field count differs from the header's raises
-    ValueError naming its data row.
-    """
-    rows = _read_csv(path)
-    return _dict_rows(rows), next(rows)
-
-
-def _dict_rows(rows):
-    with contextlib.closing(rows):
-        header = next(rows, [])
-        for i, row in enumerate(rows, 1):
-            if len(row) != len(header):
-                raise ValueError(f"data row {i} has {len(row)} fields, "
-                                 f"the header {len(header)}")
-            yield dict(zip(header, row))
-
-
-def _read_csv(path):
-    """Yields the preamble's metadata, then the header and each data row
-    as lists of strings."""
+def read_csv(path, header):
+    """Inverse of write_csv: yields the preamble's metadata, then each data
+    row as a list of strings.  A header other than `header` raises
+    ValueError before the first row; the file closes when the rows are
+    exhausted or the generator is closed."""
     with open(path, newline="") as fh:
         metadata = {}
         line = fh.readline()
@@ -312,4 +306,8 @@ def _read_csv(path):
             metadata[key] = value
             line = fh.readline()
         yield metadata
-        yield from csv.reader(itertools.chain([line], fh))
+        rows = csv.reader(itertools.chain([line], fh))
+        got = next(rows, None)
+        if got != list(header):
+            raise ValueError(f"header {got!r} is not {','.join(header)}")
+        yield from rows

@@ -99,6 +99,17 @@ def without_key(key):
     return json_edit(lambda payload: payload.pop(key))
 
 
+def scores_cell(row, column, value):
+    """An edit of scores.csv's lines: value into data row `row` (from 1)
+    under the header's `column`."""
+    def edit(lines):
+        i = row + 2  # after the two metadata lines and the header
+        cells = lines[i].rstrip("\r\n").split(",")
+        cells[lines[2].rstrip("\r\n").split(",").index(column)] = value
+        return lines[:i] + [",".join(cells) + "\r\n"] + lines[i + 1:]
+    return edit
+
+
 class TestPipeline:
     def test_train_writes_checkpoint_and_log(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -256,6 +267,10 @@ class TestOverridesAndErrors:
                                 "got 7"),
         ({"fed": {"batch_size": False}}, "fed.batch_size must be an integer"),
         ({"fed": {"lr": True}}, "fed.lr must be a number"),
+        ({"fed": {"lr": float("nan")}}, "fed.lr must be finite, got nan"),
+        ({"fed": {"lr": float("inf")}}, "fed.lr must be finite, got inf"),
+        ({"dataset": {"noise_amp": float("nan")}},
+         "dataset.noise_amp must be finite, got nan"),
         ({"erosion": {"step": 5}}, "unknown config key erosion.step"),
         ({"evaluation": {}}, "unknown config key evaluation"),
         ({"dataset": {"dims": [3, 16]}}, "dataset.dims must be"),
@@ -295,7 +310,8 @@ class TestOverridesAndErrors:
     ], ids=["rounds", "lr", "pool_factor", "steps_zero", "steps_too_many",
             "huge_steps", "seed_bool", "seed_negative", "schema_version",
             "batch_size_bool",
-            "lr_bool", "unknown_key", "unknown_section", "dims_length",
+            "lr_bool", "lr_nan", "lr_infinity", "noise_amp_nan",
+            "unknown_key", "unknown_section", "dims_length",
             "channel_type", "eval_unbalanced", "eval_empty",
             "arch_zero_channels", "arch_negative_width",
             "arch_odd_maxpool", "template_strength_length", "one_class",
@@ -467,7 +483,7 @@ class TestOverridesAndErrors:
          "Extra data: line "),
         ("report.json", lambda text: f"[{text}]", "is not a JSON object"),
         ("report.json", json_edit(lambda r: r["attacks"].pop("resmia")),
-         "has no resmia auc"),
+         "has attacks {'entropy': {'accuracy': "),
         ("report.json",
          json_edit(lambda r: r.update(
              per_client_auc=list(r["per_client_auc"].values()))),
@@ -476,11 +492,21 @@ class TestOverridesAndErrors:
          "has timing {'resmia_probe_ms': "),
         ("report.json",
          json_edit(lambda r: r["attacks"]["loss"].pop("accuracy")),
-         "does not render: KeyError('accuracy')"),
+         "has attacks {'entropy': {'accuracy': "),
+        ("report.json",
+         json_edit(lambda r: r["attacks"]["loss"].update(accuracy=0.125)),
+         "has attacks {'entropy': {'accuracy': "),
+        ("report.json",
+         json_edit(lambda r: r["per_client_auc"].update({"0": 0.125})),
+         "has per_client_auc {'0': 0.125, '1': "),
+        ("report.json",
+         json_edit(lambda r: r["query_counts"].update(resmia=7)),
+         "has query_counts {'entropy': 1, 'loss': 1, 'resmia': 7}, "),
         ("ablation.csv",
          lambda text: text.replace("upsample_mode,auc_resmia",
                                    "upsample_mode,auc"),
-         "does not parse: KeyError('auc_resmia')"),
+         "does not parse: ValueError(\"header ['upsample_mode', 'auc'] is "
+         "not upsample_mode,auc_resmia\")"),
         ("ablation.csv",
          lambda text: re.sub(r"^bilinear,.*$", "bilinear,high", text,
                              flags=re.M),
@@ -489,14 +515,26 @@ class TestOverridesAndErrors:
         ("ablation.csv",
          lambda text: re.sub(r"^(bilinear,.*)$", r"\1,999", text,
                              flags=re.M),
-         "does not parse: ValueError('data row 2 has 3 fields, the header "
-         "2')"),
+         "does not parse: ValueError('too many values to unpack "
+         "(expected 2"),
+        ("ablation.csv",
+         lambda text: re.sub(r"^bilinear,.*$", "bilinear", text,
+                             flags=re.M),
+         "does not parse: ValueError('not enough values to unpack "
+         "(expected 2, got 1)')"),
+        ("ablation.csv",
+         lambda text: re.sub(r"^bilinear,.*$", "", text, flags=re.M),
+         "does not parse: ValueError('not enough values to unpack "
+         "(expected 2, got 0)')"),
     ], ids=["report_without_schema_version", "report_without_attacks",
             "report_with_text_appended", "report_as_json_list",
             "report_without_resmia", "per_client_auc_as_list",
             "timing_without_ratio", "attack_without_accuracy",
+            "loss_accuracy_edited", "per_client_auc_edited",
+            "resmia_query_count_edited",
             "ablation_column_renamed", "ablation_auc_not_a_number",
-            "ablation_extra_field"])
+            "ablation_extra_field", "ablation_missing_field",
+            "ablation_blank_row"])
     def test_report_refuses_a_damaged_input_before_writing(
             self, tmp_path, capsys, audited_run, name, edit, message):
         out = tmp_path / "run"
@@ -508,6 +546,27 @@ class TestOverridesAndErrors:
         capsys.readouterr()
         assert cli.main(["report", "--out", str(out)]) == 1
         assert f"error: {damaged} {message}" in capsys.readouterr().err
+        assert not (out / "roc.csv").exists()
+        assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:3], " has queries_resmia values [], not one "
+                                  "value"),
+        (scores_cell(16, "queries_resmia", "9"),
+         " has queries_resmia values [3, 9], not one value"),
+        (scores_cell(2, "score_resmia", "nan"),
+         ": resmia scores hold 1 non-finite values"),
+    ], ids=["header_only", "two_query_counts", "nan_score"])
+    def test_report_refuses_scores_it_cannot_rebuild_from(
+            self, tmp_path, capsys, audited_run, edit, message):
+        out = tmp_path / "run"
+        shutil.copytree(audited_run, out)
+        scores = out / "scores.csv"
+        lines = scores.read_bytes().decode().splitlines(keepends=True)
+        scores.write_bytes("".join(edit(lines)).encode())
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {scores}{message}\n"
         assert not (out / "roc.csv").exists()
         assert not (out / "summary.txt").exists()
 
