@@ -485,9 +485,10 @@ def build_parser():
     train = common(sub.add_parser(
         "train", help="run federated training, write checkpoint and log"))
     train.add_argument("--workers", type=int, default=nn.fan_out_width(),
-                       help="client training threads (numerics are "
-                            "identical for any value; default: the usable "
-                            "cores, 1 without numpy's scipy-openblas)")
+                       help="client training workers: this process and "
+                            "N-1 forked ones (numerics are identical for "
+                            "any value; default: the usable cores, 1 "
+                            "without numpy's scipy-openblas)")
     common(sub.add_parser(
         "attack", help="score the eval set with all attacks"),
         checkpoint=True)

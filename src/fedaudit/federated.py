@@ -107,24 +107,37 @@ def _accuracy(params, arch, images, labels):
     return hits / len(labels)
 
 
+class DivergedError(ArithmeticError):
+    """Training produced a non-finite parameter or mean client loss."""
+
+
+def _fit_client(shards, arch, cfg, job):
+    """local_train for one fan-out job (round, global params, client id)."""
+    rnd, params, cid = job
+    return local_train(params, arch, shards[cid], cfg, round_idx=rnd,
+                       client_id=cid)
+
+
 def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
                            workers=1):
     """Full FedAvg loop; returns (global params, per-round log rows).
 
     Log rows: dicts with round, train_acc, test_acc, mean_client_loss.
-    Client training fans out across threads when workers > 1, the same
-    threads every round, each with one BLAS thread; numerics are
-    identical for any worker count because clients are independent.
-    Each round's fan-out also carries the accuracy pass of the previous
-    round's global params, on the calling thread; the final params are
-    measured after the last round.
+    Client training fans out to worker processes when workers > 1 (see
+    nn.fan_out), the same ones every round, each on one BLAS thread;
+    numerics are identical for any worker count because clients are
+    independent.  Each round's fan-out also carries the accuracy pass of
+    the previous round's global params, on the calling thread; the final
+    params are measured after the last round.  DivergedError names the
+    first round whose aggregated params or mean client loss are not
+    finite.
     """
     shards = partition(dataset, cfg.num_clients, cfg.seed)
     sizes = [len(s) for s in shards]
     params = nn.init_params(arch, cfg.seed)
     log = []
 
-    def log_round(rnd, params, losses):
+    def log_round(rnd, params, loss):
         log.append({
             "round": rnd + 1,
             "train_acc": _accuracy(params, arch, dataset.images,
@@ -132,19 +145,26 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
             "test_acc": (_accuracy(params, arch, test_set.images,
                                    test_set.labels)
                          if test_set is not None else float("nan")),
-            "mean_client_loss": float(np.mean(losses)),
+            "mean_client_loss": loss,
         })
 
     measure = None
-    with nn.fan_out(workers) as map_clients:
+    fit = functools.partial(_fit_client, shards, arch, cfg)
+    with nn.fan_out(workers, fit) as map_clients:
         for rnd in range(cfg.rounds):
-            def fit(cid, rnd=rnd, params=params):
-                return local_train(params, arch, shards[cid], cfg,
-                                   round_idx=rnd, client_id=cid)
-            results = map_clients(fit, range(len(shards)), first=measure)
+            results = map_clients([(rnd, params, cid)
+                                   for cid in range(len(shards))],
+                                  first=measure)
             params = fedavg_aggregate([r[0] for r in results], sizes)
-            measure = functools.partial(log_round, rnd, params,
-                                        [r[1] for r in results])
+            loss = float(np.mean([r[1] for r in results]))
+            if not np.isfinite(loss):
+                raise DivergedError(f"round {rnd + 1} diverged: mean "
+                                    f"client loss {loss}")
+            if not all(np.isfinite(a).all() for block in params if block
+                       for a in block.values()):
+                raise DivergedError(f"round {rnd + 1} diverged: "
+                                    f"non-finite parameters")
+            measure = functools.partial(log_round, rnd, params, loss)
     if measure is not None:
         measure()
     return params, log

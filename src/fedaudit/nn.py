@@ -45,8 +45,9 @@ import glob
 import json
 import math
 import os
+import pickle
+import signal
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -448,10 +449,11 @@ def _blas_thread_api():
 def single_blas_thread():
     """Run the block with one BLAS thread, then restore the caller's count.
 
-    For thread fan-outs whose threads each run their own GEMMs: BLAS
-    threads on top of them oversubscribe the cores.  The GEMM results
-    do not depend on the thread count.  The count is process-wide, so
-    blocks entered from different threads must nest, not interleave.
+    For fan-outs whose workers each run their own GEMMs: BLAS threads
+    on top of them oversubscribe the cores.  Workers forked inside the
+    block keep its one thread.  The GEMM results do not depend on the
+    thread count.  The count is process-wide, so blocks entered from
+    different threads must nest, not interleave.
     Does nothing where _blas_thread_api finds no scipy-openblas.
     """
     api = _blas_thread_api()
@@ -468,44 +470,72 @@ def single_blas_thread():
 
 
 def fan_out_width():
-    """Threads for a fan-out: the usable cores, or 1 where
+    """Workers for a fan-out: the usable cores, or 1 where
     _blas_thread_api finds no scipy-openblas, since workers there would
     oversubscribe the cores with that BLAS's own threads."""
     return 1 if _blas_thread_api() is None else len(os.sched_getaffinity(0))
 
 
+class WorkerDiedError(RuntimeError):
+    """A fan-out worker process ended before it answered."""
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
 @contextlib.contextmanager
-def fan_out(workers):
-    """Yields map(fn, items, first=None), which returns
-    [fn(item) for item in items] computed on `workers` threads, one of
-    them the calling thread, which runs first() before it takes items.
+def fan_out(workers, fn):
+    """Yields map(items, first=None), which returns [fn(item) for item
+    in items] computed by `workers` workers, one of them the calling
+    thread, which runs first() before it takes items.
 
     With 1 worker all of it runs inline with the caller's BLAS threads.
-    Otherwise the block runs on one BLAS thread, and in each call up to
-    workers - 1 pool threads start on the items while the caller runs
-    first(), then the caller takes items from the same queue, so the
-    results are the same for any worker count.  The pool threads serve
-    every call in the block: glibc gives each thread its own malloc
-    arena, and a thread started per call can get a fresh arena before
-    its predecessor's is free again; each extra arena added about 13 MB
-    to the peak RSS of a 2-worker default training.  For the same
-    reason first() never runs on a pool thread, where a large pass
-    would stay resident.  No call starts more threads than it has
-    items.  The first error stops the queue.
+    Otherwise the block runs on one BLAS thread, and each call forks
+    worker processes until it has one per item beyond the caller's, up
+    to workers - 1; they then serve every later call of the block and
+    end with it.  Each has its own interpreter, so the workers do not
+    queue on one GIL.  While the caller runs first(), the workers start
+    on the items, then the caller takes items from the same queue, so
+    the results are the same for any worker count.  fn reaches a worker
+    at fork and is never pickled: what it closes over (a training's
+    shards) is shared copy-on-write.  Items and results are pickled;
+    an item's exception comes back with its type and message.  The
+    first error, or a worker that dies (WorkerDiedError), stops the
+    queue, and no worker outlives the block.
+
+    The start method is fork: spawn pays an import of fedaudit and
+    starts each worker on the default BLAS threads.  Forking is safe
+    here because workers fork before the call starts its helper threads
+    and fedaudit starts no others, so the only other threads are
+    OpenBLAS's, and OpenBLAS and glibc's malloc both register fork
+    handlers that leave their locks usable in the child.
     """
     if workers <= 1:
-        yield functools.partial(_map_queue, None, 1)
+        yield functools.partial(_map_queue, fn, [], 1)
         return
-    with single_blas_thread(), ThreadPoolExecutor(workers - 1) as pool:
-        yield functools.partial(_map_queue, pool, workers)
+    procs = []
+    with single_blas_thread():
+        try:
+            yield functools.partial(_map_queue, fn, procs, workers)
+        finally:
+            for proc, conn in procs:
+                conn.close()
+                proc.kill()
+            for proc, _ in procs:
+                proc.join()
 
 
-def _map_queue(pool, workers, fn, items, first=None):
+def _map_queue(fn, procs, workers, items, first=None):
     todo = list(enumerate(items))[::-1]
     results = [None] * len(todo)
+    helpers = min(workers, len(todo)) - 1
+    while len(procs) < helpers:
+        procs.append(_start_worker(fn, [conn for _, conn in procs]))
     lock = threading.Lock()
+    errors = []
 
-    def work(before=None):
+    def work(run, before=None):
         try:
             if before is not None:
                 before()
@@ -514,21 +544,110 @@ def _map_queue(pool, workers, fn, items, first=None):
                     if not todo:
                         return
                     i, item = todo.pop()
-                results[i] = fn(item)
-        except BaseException:
+                results[i] = run(item)
+        except BaseException as exc:
             with lock:
                 todo.clear()
-            raise
+                errors.append(exc)
 
-    helpers = [pool.submit(work)
-               for _ in range(min(workers, len(todo)) - 1)]
+    # one thread per worker hands it items; it waits on the pipe
+    # without the GIL
+    threads = [threading.Thread(target=work,
+                                args=(functools.partial(_ask, *worker),))
+               for worker in procs[:helpers]]
+    for thread in threads:
+        thread.start()
     try:
-        work(first)
+        work(fn, first)
     finally:
-        wait(helpers)
-    for helper in helpers:
-        helper.result()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return results
+
+
+def _start_worker(fn, inherited):
+    """Fork one worker serving fn; returns (process, connection)."""
+    # imported here: a process that never fans out (1 worker, or an
+    # audit) would hold about 0.7 MB more for it
+    import multiprocessing
+    fork = multiprocessing.get_context("fork")
+    conn, child_conn = fork.Pipe()
+    proc = fork.Process(target=_serve,
+                        args=(child_conn, fn, [*inherited, conn]))
+    proc.start()
+    child_conn.close()
+    return proc, conn
+
+
+def _ask(proc, conn, item):
+    try:
+        conn.send(item)
+        ok, value = conn.recv()
+    except (EOFError, OSError) as exc:
+        proc.join()
+        raise WorkerDiedError(f"fan-out worker {proc.pid} ended with exit "
+                              f"code {proc.exitcode} before it answered"
+                              ) from exc
+    if not ok:
+        raise value
+    return value
+
+
+def _serve(conn, fn, inherited):
+    """A worker's loop: answer each item with (True, fn(item)) or
+    (False, its exception) until the parent closes its end."""
+    # the parent handles an interrupt, and ends its workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # other workers' ends and the parent's own: the parent must be the
+    # only holder, so that each side sees the other's end close
+    for other in inherited:
+        other.close()
+    _keep_heap()
+    while True:
+        try:
+            item = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = True, fn(item)
+        except Exception as exc:
+            reply = False, _portable(exc)
+        conn.send(reply)
+
+
+def _portable(exc):
+    """exc if it survives pickling, else a RuntimeError naming its type
+    and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _keep_heap():
+    """Fix glibc's trim and mmap thresholds high in a forked worker.
+
+    glibc raises its mmap threshold to the largest mmapped block freed
+    so far, and trims a free heap top above twice that.  The caller's
+    accuracy passes, in 64-image chunks, free blocks large enough that
+    its training steps keep their buffers.  A worker runs only 32-image
+    steps, so each step's freed buffers went back to the kernel and the
+    next step faulted them in again: about 780 000 minor faults in the
+    worker of a default training against 4 400 with this; one 64-image
+    forward in the worker cured it too.  Setting either threshold turns the dynamic
+    ones off, so both are set.  Does nothing where the C library has no
+    mallopt.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], \
+        ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 128 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +717,8 @@ def save_checkpoint(path, model: Model):
 
 def load_checkpoint(path) -> Model:
     """Read a checkpoint; CheckpointError unless the file holds exactly
-    the arrays its architecture needs, and nothing after them."""
+    the arrays its architecture needs, all finite, and nothing after
+    them."""
     with open(path, "rb") as fh:
         if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a "
@@ -625,8 +745,12 @@ def load_checkpoint(path) -> Model:
                 raise CheckpointError(
                     f"{path}: truncated in layer {layer} {name}: "
                     f"{len(payload) - offset} of {size} bytes")
-            params[-1][name] = np.frombuffer(
-                payload, _DTYPE, count, offset).reshape(shape).copy()
+            arr = np.frombuffer(payload, _DTYPE, count, offset)
+            bad = count - int(np.isfinite(arr).sum())
+            if bad:
+                raise CheckpointError(f"{path}: layer {layer} {name} holds "
+                                      f"{bad} non-finite values")
+            params[-1][name] = arr.reshape(shape).copy()
             offset += size
     if offset != len(payload):
         raise CheckpointError(f"{path}: trailing bytes after the last array")

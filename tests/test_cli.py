@@ -371,6 +371,35 @@ class TestOverridesAndErrors:
                          "--checkpoint", ckpt]) == 1
         assert "truncated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["attack", "ablate"])
+    def test_non_finite_checkpoint_exits_1_before_output(
+            self, tmp_path, capsys, small_checkpoint, command):
+        model = nn.load_checkpoint(small_checkpoint)
+        model.params[0]["W"][0, 0, 1, 1] = np.nan
+        ckpt = tmp_path / "nan.ckpt"
+        nn.save_checkpoint(ckpt, model)
+        out = tmp_path / "refused"
+        capsys.readouterr()
+        assert cli.main([command, "--config", write_config(tmp_path),
+                         "--out", str(out), "--checkpoint", str(ckpt)]) == 1
+        assert (f"error: {ckpt}: layer 0 W holds 1 non-finite values"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diverged_training_exits_1_without_checkpoint(
+            self, tmp_path, capsys, workers):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            rc = cli.main(["train", "--config",
+                           write_config(tmp_path, {"fed": {"lr": 1e30}}),
+                           "--out", str(out), "--workers", workers])
+        assert rc == 1
+        assert "error: round 1 diverged: mean client loss nan" in \
+            capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
+
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         rc = cli.main(["attack", "--config", cfg,

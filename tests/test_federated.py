@@ -1,3 +1,7 @@
+import contextlib
+import multiprocessing
+import os
+import signal
 import threading
 import time
 
@@ -329,6 +333,21 @@ class TestRunFederatedTraining:
         with pytest.raises(ValueError, match="client 1 has an empty shard"):
             train_run(workers)
 
+    @pytest.mark.parametrize("lr, message", [
+        (1e30, "^round 2 diverged: mean client loss nan$"),
+        (float("inf"), "^round 1 diverged: non-finite parameters$")])
+    def test_divergence_names_its_round(self, lr, message):
+        ds, arch = toy_dataset(30), toy_arch()
+        # one step per client, so round 1's losses are of the initial
+        # params
+        cfg = FedConfig(num_clients=3, rounds=4, local_epochs=1,
+                        batch_size=16, seed=8, lr=lr)
+        for workers in (1, 2):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(federated.DivergedError, match=message):
+                federated.run_federated_training(ds, arch, cfg,
+                                                 workers=workers)
+
     def test_log_rows_have_expected_fields(self):
         ds = toy_dataset(20)
         test = toy_dataset(10, seed=1)
@@ -356,17 +375,51 @@ def blas_threads():
     set_(before)
 
 
-def count_blas_threads_in_local_train(monkeypatch, get):
-    """Record the BLAS thread count at every local_train call."""
-    seen = []
+class Reports:
+    """Lines that the test process and its fan-out workers append to one
+    file: a worker's memory dies with it, so its spies report here."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def add(self, *fields):
+        with open(self.path, "a") as fh:
+            fh.write(" ".join(map(str, fields)) + "\n")
+
+    def read(self):
+        return [line.split() for line in self.path.read_text().splitlines()]
+
+    def from_workers(self):
+        """The lines written by any process but this one."""
+        me = str(os.getpid())
+        return [line for line in self.read() if line[0] != me]
+
+    def wait_for_worker(self, timeout=10):
+        deadline = time.monotonic() + timeout
+        while not self.from_workers():
+            assert time.monotonic() < deadline, "no worker took an item"
+            time.sleep(0.001)
+
+
+@pytest.fixture
+def reports(tmp_path):
+    return Reports(tmp_path / "reports.txt")
+
+
+def count_blas_threads_in_local_train(monkeypatch, get, reports):
+    """Report the BLAS thread count at every local_train call."""
     real = federated.local_train
 
     def spy(*args, **kwargs):
-        seen.append(get())
+        reports.add(os.getpid(), get())
         return real(*args, **kwargs)
 
     monkeypatch.setattr(federated, "local_train", spy)
-    return seen
+
+
+def blas_counts(reports):
+    return [int(count) for _, count in reports.read()]
 
 
 class TestSingleBlasThread:
@@ -390,11 +443,23 @@ class TestSingleBlasThread:
 
     @pytest.mark.parametrize("workers, in_client", [(1, 2), (2, 1)])
     def test_client_fan_out_runs_one_blas_thread(
-            self, blas_threads, monkeypatch, workers, in_client):
-        seen = count_blas_threads_in_local_train(monkeypatch, blas_threads)
+            self, blas_threads, monkeypatch, reports, workers, in_client):
+        count_blas_threads_in_local_train(monkeypatch, blas_threads, reports)
         train_params(workers)
-        # 3 clients x 2 rounds; 1 worker keeps the caller's count
-        assert seen == [in_client] * 6
+        # 3 clients x 2 rounds, in the caller or a worker; 1 worker keeps
+        # the caller's count
+        assert blas_counts(reports) == [in_client] * 6
+        assert blas_threads() == 2
+
+    def test_every_worker_computes_on_one_blas_thread(self, blas_threads,
+                                                      reports):
+        def fn(x):
+            reports.add(os.getpid(), blas_threads())
+            return x
+
+        with nn.fan_out(3, fn) as run:
+            run(range(20), first=reports.wait_for_worker)
+        assert {count for _, count in reports.from_workers()} == {"1"}
         assert blas_threads() == 2
 
     def test_client_error_restores_count(self, blas_threads, monkeypatch):
@@ -418,63 +483,85 @@ class TestSingleBlasThread:
         assert seen == [1, 2]
         assert blas_threads() == 2
 
-    def test_missing_blas_api_is_a_no_op(self, blas_threads, monkeypatch):
+    def test_missing_blas_api_is_a_no_op(self, blas_threads, monkeypatch,
+                                         reports):
         monkeypatch.setattr(nn, "_blas_thread_api", lambda: None)
         with nn.single_blas_thread():
             assert blas_threads() == 2
         serial = train_params(1)
-        seen = count_blas_threads_in_local_train(monkeypatch, blas_threads)
+        count_blas_threads_in_local_train(monkeypatch, blas_threads, reports)
         assert train_params(2) == serial
-        assert seen == [2] * 6
+        assert blas_counts(reports) == [2] * 6
 
 
 def fan_out_once(fn, items, workers, first=None):
     """One map call in a fan-out of its own."""
-    with nn.fan_out(workers) as run:
-        return run(fn, items, first)
+    with nn.fan_out(workers, fn) as run:
+        return run(items, first)
+
+
+def worker_pids():
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def assert_gone(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test still running after 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the fan-out hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 class TestMapWorkers:
     @pytest.mark.parametrize("workers", [1, 2, 3, 9])
     def test_results_in_item_order(self, workers):
-        assert fan_out_once(lambda x: x * x, range(7), workers) == [
-            x * x for x in range(7)]
+        # 9 workers on fewer cores: 8 helper threads share the queue
+        assert fan_out_once(lambda x: x * x, range(40), workers) == [
+            x * x for x in range(40)]
 
     def test_one_worker_runs_first_then_items_inline(self):
         calls = []
-        fan_out_once(lambda x: calls.append((x, threading.get_ident())),
+        me = os.getpid(), threading.get_ident()
+        fan_out_once(lambda x: calls.append((x, os.getpid(),
+                                             threading.get_ident())),
                      range(3), 1,
-                     first=lambda: calls.append(("first",
-                                                 threading.get_ident())))
-        me = threading.get_ident()
-        assert calls == [("first", me), (0, me), (1, me), (2, me)]
+                     first=lambda: calls.append(("first", *me)))
+        assert calls == [("first", *me), (0, *me), (1, *me), (2, *me)]
+        assert worker_pids() == set()
 
-    def test_first_runs_on_the_caller_while_the_pool_takes_items(self):
-        item_threads = []
-        taken = threading.Event()
-
+    def test_first_runs_on_the_caller_while_a_worker_takes_items(
+            self, reports):
         def fn(x):
-            item_threads.append(threading.get_ident())
-            taken.set()
+            reports.add(os.getpid(), x)
             return x
 
         def first():
-            # blocks until a pool thread has run an item
-            assert taken.wait(10)
-            item_threads.append(("first", threading.get_ident()))
+            # returns once a worker has run an item
+            reports.wait_for_worker()
+            reports.add(os.getpid(), "first", threading.get_ident())
 
         assert fan_out_once(fn, range(4), 2, first=first) == [0, 1, 2, 3]
-        me = threading.get_ident()
-        assert ("first", me) in item_threads
-        assert item_threads[0] != me
+        me = str(os.getpid())
+        lines = reports.read()
+        assert [me, "first", str(threading.get_ident())] in lines
+        assert lines[0][0] != me
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("failing", ["item", "first"])
-    def test_first_error_stops_the_queue(self, workers, failing):
-        ran = []
-
+    def test_first_error_stops_the_queue(self, reports, workers, failing):
         def fn(x):
-            ran.append(x)
+            reports.add(os.getpid(), x)
             if failing == "item" and x == 0:
                 raise RuntimeError("boom")
             time.sleep(0.01)
@@ -484,45 +571,86 @@ class TestMapWorkers:
             if failing == "first":
                 raise RuntimeError("boom")
 
-        with pytest.raises(RuntimeError, match="boom"):
+        with pytest.raises(RuntimeError, match="^boom$"):
             fan_out_once(fn, range(100), workers, first=first)
-        assert len(ran) < 10
+        assert len(reports.read()) < 10
 
-    def test_no_more_threads_than_items(self, monkeypatch):
-        jobs = []
+    def test_no_more_workers_than_items(self):
+        with nn.fan_out(64, lambda x: x) as run:
+            assert run(range(3)) == [0, 1, 2]
+            # the caller takes the third item
+            assert len(worker_pids()) == 2
+            assert run([]) == []
+            assert len(worker_pids()) == 2
+        assert worker_pids() == set()
 
-        class Pool(nn.ThreadPoolExecutor):
-            # the pool starts a thread only for a job no idle one takes
-            def submit(self, *args):
-                jobs.append(args)
-                return super().submit(*args)
+    def test_the_same_workers_serve_every_call(self, reports):
+        def workers_of_one_call(run):
+            reports.path.write_text("")
+            run(range(4), first=reports.wait_for_worker)
+            return {pid for pid, _ in reports.from_workers()}
 
-        monkeypatch.setattr(nn, "ThreadPoolExecutor", Pool)
-        before = threading.active_count()
-        with nn.fan_out(64) as run:
-            assert run(lambda x: x, range(3)) == [0, 1, 2]
-            # the caller is the third thread
-            assert len(jobs) == 2
-            assert run(lambda x: x, []) == []
-            assert len(jobs) == 2
-            assert threading.active_count() - before <= 2
-
-    def test_pool_threads_serve_every_call(self):
-        def pool_threads(run):
-            taken = threading.Event()
-
-            def fn(x):
-                taken.set()
-                return threading.current_thread()
-
-            # the caller waits until a pool thread has taken an item
-            threads = run(fn, range(4), first=lambda: taken.wait(10))
-            return set(threads) - {threading.current_thread()}
-
-        with nn.fan_out(2) as run:
-            first = pool_threads(run)
+        with nn.fan_out(2, lambda x: reports.add(os.getpid(), x)) as run:
+            first = workers_of_one_call(run)
             assert len(first) == 1
-            assert pool_threads(run) == first
+            assert workers_of_one_call(run) == first
+            assert {str(pid) for pid in worker_pids()} == first
+
+    @pytest.mark.parametrize("failing", [None, "item", "first"])
+    def test_no_worker_outlives_the_block(self, deadline, failing):
+        pids = []
+
+        def fn(x):
+            if failing == "item":
+                raise RuntimeError("boom")
+            return x
+
+        def first():
+            pids.extend(worker_pids())
+            if failing == "first":
+                raise RuntimeError("boom")
+
+        with contextlib.suppress(RuntimeError):
+            fan_out_once(fn, range(6), 3, first=first)
+        assert len(pids) == 2
+        assert worker_pids() == set()
+        assert_gone(pids)
+
+    def test_a_dying_worker_raises_a_named_error(self, deadline, reports):
+        caller = os.getpid()
+        pids = []
+
+        def fn(x):
+            reports.add(os.getpid(), x)
+            if os.getpid() != caller:
+                os._exit(1)
+            return x
+
+        def first():
+            pids.extend(worker_pids())
+            reports.wait_for_worker()
+
+        with pytest.raises(nn.WorkerDiedError, match="exit code 1 "):
+            fan_out_once(fn, range(4), 2, first=first)
+        assert len(pids) == 1
+        assert worker_pids() == set()
+        assert_gone(pids)
+
+    def test_unpicklable_error_keeps_type_and_message(self, reports):
+        class Local(ValueError):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        caller = os.getpid()
+
+        def fn(x):
+            reports.add(os.getpid(), x)
+            if os.getpid() != caller:
+                raise Local("this", "that")
+            return x
+
+        with pytest.raises(RuntimeError, match="^Local: this and that$"):
+            fan_out_once(fn, range(4), 2, first=reports.wait_for_worker)
 
 
 class TestFanOutWidth:

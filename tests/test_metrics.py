@@ -560,6 +560,8 @@ class TestCsvFormat:
         with pytest.raises(ValueError, match="would need quoting") as info:
             write_csv(path, ["name", "value"], rows)
         assert str(path) in str(info.value)
+        # the 2048-row block before the bad one is not left on disk
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("row", [(1,), (1, 2, 3)],
                              ids=["short", "long"])
@@ -568,6 +570,18 @@ class TestCsvFormat:
         with pytest.raises(ValueError, match="header's 2 cells") as info:
             write_csv(path, ["a", "b"], [(0, 1), row])
         assert str(path) in str(info.value)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad", [("a,b", 2.0), (1,)],
+                             ids=["cell", "row"])
+    def test_refusal_keeps_an_earlier_file(self, tmp_path, bad):
+        path = tmp_path / "kept.csv"
+        write_csv(path, ["name", "value"], [("ok", 1.0)], self.META)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=str(path)):
+            write_csv(path, ["name", "value"], [("ok", 3.0)] * 3000 + [bad])
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestRocCsv:

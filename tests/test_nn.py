@@ -510,6 +510,18 @@ class TestCheckpoint:
             except nn.CheckpointError:
                 pass
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_is_refused(self, tmp_path, value):
+        path, _ = self.saved(tmp_path)
+        model = nn.load_checkpoint(path)
+        dense = len(model.params) - 1
+        model.params[dense]["b"][1] = value
+        nn.save_checkpoint(path, model)
+        with pytest.raises(nn.CheckpointError,
+                           match=f"^{path}: layer {dense} b holds 1 "
+                                 f"non-finite values$"):
+            nn.load_checkpoint(path)
+
     def test_checkpoint_error_is_value_error(self):
         assert issubclass(nn.CheckpointError, ValueError)
 
