@@ -84,12 +84,17 @@ def load_config(path=None, overrides=None):
     cfg = DEFAULT_CONFIG
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 user = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config file {path} cannot be read: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+        if not isinstance(user, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object, "
+                              f"got {user!r}")
         cfg = _merge(cfg, user)
     cfg = _merge(cfg, overrides or {})
     validate_config(cfg)
@@ -140,6 +145,8 @@ def validate_config(cfg):
     # every numpy generator here is seeded from it, and none takes < 0
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    if not cfg["out_dir"]:
+        raise ConfigError("out_dir must not be empty")
     ds = cfg["dataset"]
     builds = {}
     if ds["type"] == "synthetic":
@@ -505,7 +512,9 @@ def build_parser():
 
 def _overrides(args):
     over = {}
-    if getattr(args, "out", None):
+    if getattr(args, "out", None) == "":
+        raise ConfigError("--out must not be empty")
+    if getattr(args, "out", None) is not None:
         over["out_dir"] = args.out
     if getattr(args, "seed", None) is not None:
         over["seed"] = args.seed
@@ -523,7 +532,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            cmd_report(args.out)
+            cmd_report(_overrides(args)["out_dir"])
             return EXIT_OK
         if args.command == "train" and args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")

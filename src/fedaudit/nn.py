@@ -670,9 +670,10 @@ class Model:
     arch: ArchitectureDescriptor
     params: list
     trained_on: dict = field(default_factory=dict)
-    _query_count: int = 0
+    # set only by the query methods, so an attack's budget is exact
+    _query_count: int = field(default=0, init=False)
     _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
+                                  init=False, repr=False, compare=False)
 
     def query(self, img: np.ndarray) -> np.ndarray:
         with self._lock:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -247,11 +248,28 @@ class TestOverridesAndErrors:
         assert [line.partition("=")[0] for line in changed] == [
             "# config_hash"]
 
-    def test_invalid_json_config_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
+    @pytest.mark.parametrize("content, fragment", [
+        (b"{not json", "is not valid JSON"),
+        (b"[1]", "must hold a JSON object, got [1]"),
+        (b'"x"', "must hold a JSON object, got 'x'"),
+        (b"null", "must hold a JSON object, got None"),
+        (b"\xff\xfe{}", "cannot be read"),
+        (None, "cannot be read"),
+    ], ids=["broken", "list", "string", "null", "not_utf8", "directory"])
+    def test_invalid_json_config_exits_2(self, tmp_path, capsys,
+                                         monkeypatch, content, fragment):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
         assert cli.main(["train", "--config", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: config file {path} ")
+        assert fragment in captured.err
+        assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("extra, fragment", [
         ({"fed": {"rounds": -1}}, "fed.rounds"),
@@ -307,6 +325,7 @@ class TestOverridesAndErrors:
           "eval": {"members_per_client": 11, "total_nonmembers": 33}},
          "eval.members_per_client must be <= 10, the smallest client "
          "shard, got 11"),
+        ({"out_dir": ""}, "config error: out_dir must not be empty"),
     ], ids=["rounds", "lr", "pool_factor", "steps_zero", "steps_too_many",
             "huge_steps", "seed_bool", "seed_negative", "schema_version",
             "batch_size_bool",
@@ -316,12 +335,12 @@ class TestOverridesAndErrors:
             "arch_zero_channels", "arch_negative_width",
             "arch_odd_maxpool", "template_strength_length", "one_class",
             "dims_zero_channels", "dims_negative_sides", "train_too_small",
-            "test_too_small", "shard_too_small"])
+            "test_too_small", "shard_too_small", "empty_out_dir"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, extra,
                                       fragment):
-        cfg = write_config(tmp_path, extra)
         out = tmp_path / "run"
-        assert cli.main(["train", "--config", cfg, "--out", str(out)]) == 2
+        cfg = write_config(tmp_path, {"out_dir": str(out), **extra})
+        assert cli.main(["train", "--config", cfg]) == 2
         assert fragment in capsys.readouterr().err
         assert not out.exists()
 
@@ -331,18 +350,26 @@ class TestOverridesAndErrors:
         ("ablate", ["--erosion-steps", "-1"], "erosion.steps must be >= 1"),
         ("train", ["--workers", "0"], "--workers must be >= 1"),
         ("train", ["--seed", "-1"], "config error: seed must be >= 0"),
+        ("train", ["--out", ""], "config error: --out must not be empty"),
+        ("attack", ["--out", ""], "config error: --out must not be empty"),
+        ("report", ["--out", ""], "config error: --out must not be empty"),
     ], ids=["steps_zero", "steps_too_many", "steps_negative", "workers_zero",
-            "seed_negative"])
-    def test_bad_flag_exits_2(self, tmp_path, capsys, command, flags,
-                              fragment):
+            "seed_negative", "train_out_empty", "attack_out_empty",
+            "report_out_empty"])
+    def test_bad_flag_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                              flags, fragment):
+        # an ignored --out "" would fall back to runs/default here
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "run"
-        argv = [command, "--config", write_config(tmp_path),
-                "--out", str(out), *flags]
-        if command != "train":
+        argv = [command, "--out", str(out), *flags]
+        if command != "report":
+            argv += ["--config", write_config(tmp_path)]
+        if command in ("attack", "ablate"):
             argv += ["--checkpoint", str(tmp_path / "missing.ckpt")]
         assert cli.main(argv) == 2
         assert fragment in capsys.readouterr().err
         assert not out.exists()
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("train", "--erosion-steps"), ("train", "--upsample"),
@@ -749,3 +776,18 @@ def test_default_architecture_matches_former_builder(arch, dims, classes):
 def test_default_architecture_without_arguments_is_default_config():
     expected = ref_build_architecture(cli.DEFAULT_CONFIG, 10, (3, 32, 32))
     assert nn.default_architecture() == expected
+
+
+def test_readme_flag_table_matches_parser():
+    """README's "Configuration" table lists every flag of each subcommand,
+    and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n")[1].split("\n## ")[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M))
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(rows) == sorted(subparsers)
+    for name, sub in subparsers.items():
+        flags = {flag for action in sub._actions
+                 for flag in action.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"`(--[\w-]+)`", rows[name])) == flags, name

@@ -291,6 +291,12 @@ class TestQueryFacade:
             model.query(img)
         assert model.query_count == 10
 
+    def test_counter_is_not_a_constructor_argument(self):
+        arch = tiny_arch()
+        with pytest.raises(TypeError, match="_query_count"):
+            nn.Model(arch=arch, params=nn.init_params(arch, 0),
+                     _query_count=3)
+
     @pytest.mark.parametrize("n", [1, 3, 8, 32])
     def test_query_batch_rows_have_query_bits(self, n):
         arch = nn.default_architecture()
