@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import attacks, data, federated, metrics, nn
+from . import attacks, data, federated, files, metrics, nn
 from .tensors import ErosionConfig
 
 EXIT_OK = 0
@@ -339,8 +339,9 @@ def cmd_attack(cfg, checkpoint):
                   "upsample_mode": ero_cfg.upsample_mode,
                   "bilinear_alignment": "half-pixel-center"})
     report_path = os.path.join(out_dir, "report.json")
-    with open(report_path, "w") as fh:
-        fh.write(report.to_json() + "\n")
+    text = report.to_json() + "\n"
+    with files.replacing(report_path) as fh:
+        fh.write(text)
     for name, row in report.attacks.items():
         print(f"{name}: auc={row['auc']:.3f} acc={row['accuracy']:.3f} "
               f"fpr@tpr80={row['fpr_at_tpr80']:.3f}")
@@ -423,8 +424,9 @@ def cmd_report(out_dir):
     roc_path = os.path.join(out_dir, "roc.csv")
     metrics.write_roc_csv(roc_path, curves, metadata=meta)
     summary_path = os.path.join(out_dir, "summary.txt")
-    with open(summary_path, "w") as fh:
-        fh.write(metrics.preamble(meta) + text)
+    summary = metrics.preamble(meta) + text
+    with files.replacing(summary_path) as fh:
+        fh.write(summary)
     print(text, end="")
     print(f"summary: {summary_path}")
     print(f"roc polylines: {roc_path}")

@@ -12,14 +12,14 @@ order within a tie, so this gives the bits of sorting each pair list
 afresh.
 """
 
-import contextlib
 import csv
 import itertools
 import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import files
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -272,37 +272,29 @@ def write_csv(path, header, rows, metadata=None):
     Each cell is written with str, so a float is its repr and reruns are
     byte-identical; lines end in "\r\n", as csv.writer's do.  Nothing is
     quoted: a row of another length, or a cell holding ',', '"', '\r' or
-    '\n', raises ValueError naming the file.  The lines go to a sibling
-    temporary file that replaces path only once all are written, so a
-    refusal leaves any earlier file at path as it was.
+    '\n', raises ValueError naming the file.  The lines are written in
+    blocks through files.replacing, so a refusal leaves any earlier file
+    at path as it was.
     """
     width = len(header)
     line = ",".join(["%s"] * width) + "\r\n"
     rows = itertools.chain([header], rows)
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(preamble(metadata))
-            while block := list(itertools.islice(rows, _CSV_BLOCK)):
-                try:
-                    text = "".join([line % tuple(row) for row in block])
-                except TypeError as exc:  # a cell too many or too few
-                    raise ValueError(f"{path}: a row does not have the "
-                                     f"header's {width} cells") from exc
-                # counted per block: a cell that needs quoting shifts a
-                # count
-                n = len(block)
-                if (text.count(",") != (width - 1) * n or '"' in text
-                        or text.count("\r") != n or text.count("\n") != n):
-                    raise ValueError(f"{path}: a cell holds a comma, a "
-                                     f"quote or a line break, which would "
-                                     f"need quoting")
-                fh.write(text)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
-    os.replace(tmp, path)
+    with files.replacing(path, newline="") as fh:
+        fh.write(preamble(metadata))
+        while block := list(itertools.islice(rows, _CSV_BLOCK)):
+            try:
+                text = "".join([line % tuple(row) for row in block])
+            except TypeError as exc:  # a cell too many or too few
+                raise ValueError(f"{path}: a row does not have the "
+                                 f"header's {width} cells") from exc
+            # counted per block: a cell that needs quoting shifts a count
+            n = len(block)
+            if (text.count(",") != (width - 1) * n or '"' in text
+                    or text.count("\r") != n or text.count("\n") != n):
+                raise ValueError(f"{path}: a cell holds a comma, a quote "
+                                 f"or a line break, which would need "
+                                 f"quoting")
+            fh.write(text)
 
 
 def read_csv(path, header):

@@ -16,6 +16,16 @@ transposed im2col matrix ``(C*9, N*H*W)``.  Conv backward takes
 ``(N, H+2, W+2)`` grid per channel, where each of the nine taps is one
 contiguous add.
 
+Passes without a backward (every query, query batch and accuracy pass)
+run the conv forward on that padded grid too (``_conv_values``): the
+input sits in the grid, each tap is one contiguous slice, and one GEMM
+covers all ``N*(H+2)*(W+2)`` columns, of which the ``H x W`` corner of
+each plane is kept.  A GEMM column's bits do not depend on the other
+columns (the batch-invariant queries rest on the same property), so the
+kept columns have the bits of the compact matrix's.  Training keeps the
+compact ``(C*9, N*H*W)`` matrix: backward reuses it for ``dW``, whose
+bits change with any other split of its product along ``N*H*W``.
+
 A conv's ReLU runs behind the maxpool that follows it (``_relu_at``):
 ReLU is monotone, so the orders commute, and its mask and multiplies
 act on a quarter of the values.  Training pools with
@@ -51,6 +61,8 @@ import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+from . import files
 
 CHECKPOINT_MAGIC = b"FEDAUDIT-CKPT v2\n"
 
@@ -204,6 +216,30 @@ def _conv_forward(x, w, b):
     return y.reshape(out_c, n, h, wd).transpose(1, 0, 2, 3), (cols, x.shape)
 
 
+def _conv_values(x, w, b):
+    """_conv_forward's y without its im2col cache, for passes with no
+    backward: the input sits inside a zero-padded (H+2, W+2) grid per
+    channel, so tap (di, dj) is one contiguous slice at flat offset
+    di*(W+2) + dj, and one GEMM covers the whole grid.  The rows keep
+    the (c, di, dj) order and each kept column holds the same products
+    as in the compact matrix, so y has _conv_forward's bits; the output
+    is stored channels-first, with the grid's margins left in place."""
+    n, c, h, wd = x.shape
+    out_c = w.shape[0]
+    hp, wp = h + 2, wd + 2
+    m = n * hp * wp
+    # the tail lets the last taps of the last image read zeros
+    xp = np.zeros((c, m + 2 * wp + 2), dtype=x.dtype)
+    grid = xp[:, :m].reshape(c, n, hp, wp)
+    grid[:, :, 1:-1, 1:-1] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, 9, m), dtype=xp.dtype)
+    for k in range(9):
+        cols[:, k] = xp[:, k // 3 * wp + k % 3:][:, :m]
+    y = w.reshape(out_c, c * 9) @ cols.reshape(c * 9, m)
+    y += b[:, None]
+    return y.reshape(out_c, n, hp, wp)[:, :, :h, :wd].transpose(1, 0, 2, 3)
+
+
 def _conv_backward(dy, w, cache, input_grad=True):
     """(dx, dW, db); dx is None when input_grad is false."""
     cols, (n, c, h, wd) = cache
@@ -311,7 +347,9 @@ def forward_batch(params, arch, x, caches=None):
     Without caches each row's logits have the bits of a batch-1 pass:
     the conv GEMMs already give them, and the dense layers run one GEMV
     per row instead of one GEMM over the batch, which rounds otherwise.
-    Without caches maxpool also computes values only.  Either way a
+    Without caches conv and maxpool also compute values only:
+    _conv_values with _conv_forward's bits, and _maxpool_values.
+    Either way a
     conv's ReLU applies after its maxpool; the module docstring says
     why no zero sign this changes reaches the logits.
     """
@@ -321,7 +359,9 @@ def forward_batch(params, arch, x, caches=None):
             f"{arch.input_shape}")
     a = x
     for (kind, *_), p, relu in zip(arch.layers, params, _relu_at(arch)):
-        if kind == "conv":
+        if kind == "conv" and caches is None:
+            a, cache = _conv_values(a, p["W"], p["b"]), None
+        elif kind == "conv":
             a, cache = _conv_forward(a, p["W"], p["b"])
         elif kind == "maxpool" and caches is None:
             a, cache = _maxpool_values(a), None
@@ -709,11 +749,11 @@ def save_checkpoint(path, model: Model):
         if arr.dtype != _DTYPE:
             raise CheckpointError(
                 f"checkpoints hold float32 arrays, got {arr.dtype}")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for arr in arrays:
-            fh.write(arr.tobytes())
+    blob = b"".join([CHECKPOINT_MAGIC,
+                     json.dumps(header, sort_keys=True).encode() + b"\n",
+                     *(arr.tobytes() for arr in arrays)])
+    with files.replacing(path, "wb") as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> Model:

@@ -53,7 +53,12 @@ def avg_pool(img: np.ndarray, factor: int) -> np.ndarray:
     """Non-overlapping average pooling with a factor x factor kernel.
 
     Height and width must be divisible by the factor; odd remainders are
-    rejected rather than padded.
+    rejected rather than padded.  The result is float32, summed in
+    float32 and divided by factor**2.  For factor 2 the add order is
+    written down: (x00 + x01) + (x10 + x11) when the output is at least
+    2 wide, ((x00 + x01) + x10) + x11 when it is 1 wide, which is the
+    order numpy 2.4's mean(dtype=float32) takes, at several times its
+    speed.  Other factors use that mean.
     """
     if factor < 2:
         raise ValueError(f"pool factor must be >= 2, got {factor}")
@@ -62,6 +67,17 @@ def avg_pool(img: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError(f"height {h} not divisible by pool factor {factor}")
     if w % factor != 0:
         raise ValueError(f"width {w} not divisible by pool factor {factor}")
+    if factor == 2:
+        x = img.astype(np.float32, copy=False)
+        top, bottom = x[..., 0::2, :], x[..., 1::2, :]
+        out = top[..., 0::2] + top[..., 1::2]
+        if w > 2:
+            out += bottom[..., 0::2] + bottom[..., 1::2]
+        else:
+            out += bottom[..., 0::2]
+            out += bottom[..., 1::2]
+        out /= 4
+        return out
     blocks = img.reshape(*lead, h // factor, factor, w // factor, factor)
     return blocks.mean(axis=(-3, -1), dtype=np.float32)
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedaudit import cli, data, nn
+from fedaudit import cli, data, metrics, nn
 
 from test_data import write_cifar_batch
 
@@ -161,6 +161,41 @@ class TestPipeline:
         _, out, _ = run_pipeline(tmp_path,
                                  config_extra={"fed": {"rounds": 0}})
         assert os.path.exists(os.path.join(out, "scores.csv"))
+
+
+class TestOutputsReplacedWhole:
+    """An error while attack or report writes an output leaves the
+    earlier file byte for byte, and no temporary file."""
+
+    @pytest.mark.parametrize("failure", ["to_json", "full_disk"])
+    def test_attack_keeps_an_earlier_report_json(
+            self, tmp_path, monkeypatch, full_disk, small_checkpoint,
+            audited_run, failure):
+        out = tmp_path / "run"
+        shutil.copytree(audited_run, out)
+        before = (out / "report.json").read_bytes()
+        if failure == "to_json":
+            def refuse(report):
+                raise ValueError("refused")
+            monkeypatch.setattr(metrics.MetricsReport, "to_json", refuse)
+        else:
+            full_disk("report.json")
+        assert cli.main(["attack", "--config", write_config(tmp_path),
+                         "--out", str(out), "--checkpoint",
+                         small_checkpoint]) == 1
+        assert (out / "report.json").read_bytes() == before
+        assert not (out / "report.json.tmp").exists()
+
+    def test_report_keeps_an_earlier_summary(self, tmp_path, full_disk,
+                                             audited_run):
+        out = tmp_path / "run"
+        shutil.copytree(audited_run, out)
+        assert cli.main(["report", "--out", str(out)]) == 0
+        before = (out / "summary.txt").read_bytes()
+        full_disk("summary.txt")
+        assert cli.main(["report", "--out", str(out)]) == 1
+        assert (out / "summary.txt").read_bytes() == before
+        assert not (out / "summary.txt.tmp").exists()
 
 
 class TestDeterminism:

@@ -583,6 +583,24 @@ class TestCsvFormat:
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
+    def test_full_disk_keeps_an_earlier_file(self, tmp_path, full_disk):
+        path = tmp_path / "kept.csv"
+        write_csv(path, ["name", "value"], [("ok", 1.0)], self.META)
+        before = path.read_bytes()
+        full_disk("kept.csv")
+        with pytest.raises(OSError, match="No space left"):
+            write_csv(path, ["name", "value"], [("ok", 3.0)] * 3000)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_refused_rename_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "taken.csv"
+        path.mkdir()
+        with pytest.raises(OSError):
+            write_csv(path, ["name", "value"], [("ok", 1.0)])
+        assert path.is_dir()
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestRocCsv:
     def test_writes_all_attacks(self, tmp_path):

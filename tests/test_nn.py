@@ -353,6 +353,20 @@ class TestCheckpoint:
         nn.save_checkpoint(p2, model)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_full_disk_keeps_an_earlier_checkpoint(self, tmp_path,
+                                                   full_disk):
+        arch = tiny_arch()
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, nn.Model(arch=arch,
+                                          params=nn.init_params(arch, 1)))
+        before = path.read_bytes()
+        full_disk("model.ckpt")
+        with pytest.raises(OSError, match="No space left"):
+            nn.save_checkpoint(path, nn.Model(
+                arch=arch, params=nn.init_params(arch, 2)))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_default_architecture_header_line(self, tmp_path):
         arch = nn.default_architecture()
         model = nn.Model(arch=arch, params=nn.init_params(arch, 0),
@@ -739,6 +753,13 @@ def channels_last(x):
     return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
+def pooled_layout(x):
+    """Same values as x, in the channels-first buffer behind an NCHW view
+    that _maxpool_values returns and conv2 receives: x pooled from its
+    own 2x2 upsampling."""
+    return nn._maxpool_values(np.repeat(np.repeat(x, 2, axis=2), 2, axis=3))
+
+
 def tie_heavy(rng, shape):
     """Mostly tied 2x2 windows: zeros, -0.0, and a few repeated values."""
     return rng.choice(np.array([0.0, -0.0, 0.5, 0.5, 1.0, -1.0],
@@ -810,6 +831,22 @@ class TestLayerKernels:
         assert dx is None
         assert_same_bits(dw, want[1])
         assert_same_bits(db, want[2])
+
+    # plus a batch of 5 and one of 64, an accuracy chunk
+    @pytest.mark.parametrize("case", CONV_CASES + [
+        (5, 3, 8, 32, 32), (5, 8, 16, 16, 16), (64, 3, 8, 32, 32),
+        (64, 8, 16, 16, 16)], ids=str)
+    @pytest.mark.parametrize("layout", [
+        "nchw", "channels_last", "pooled"])
+    def test_conv_values_match_conv_forward(self, case, layout):
+        x, wt, b, _ = conv_case(case)
+        if layout == "channels_last":
+            x = channels_last(x)
+        elif layout == "pooled":
+            x = pooled_layout(x)
+            assert x.transpose(1, 0, 2, 3).flags.c_contiguous
+        assert_same_bits(nn._conv_values(x, wt, b),
+                         nn._conv_forward(x, wt, b)[0])
 
     @pytest.mark.parametrize("case", CONV_CASES, ids=str)
     def test_conv_backward_bits_do_not_depend_on_dy_layout(self, case):
@@ -1011,7 +1048,8 @@ def dead_channel_params(arch, seed):
 
 
 class TestInferenceForward:
-    @pytest.mark.parametrize("n", [1, 8])
+    # a query, a stack, a query batch and an accuracy chunk
+    @pytest.mark.parametrize("n", [1, 8, 32, 64])
     @pytest.mark.parametrize("dead", [False, True], ids=["live", "dead"])
     @pytest.mark.parametrize("fill", ["random", "tie_heavy"])
     def test_matches_relu_before_pool_reference(self, fill, dead, n):

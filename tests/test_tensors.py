@@ -44,6 +44,29 @@ def rand_img(shape, seed):
     return np.random.default_rng(seed).random(shape, dtype=np.float32)
 
 
+def frozen_avg_pool(img, factor):
+    """Frozen copy of avg_pool as one numpy mean, whose add order for
+    factor 2 avg_pool writes down."""
+    *lead, h, w = img.shape
+    blocks = img.reshape(*lead, h // factor, factor, w // factor, factor)
+    return blocks.mean(axis=(-3, -1), dtype=np.float32)
+
+
+def frozen_erosion_sequence(img, cfg):
+    """erosion_sequence on frozen_avg_pool."""
+    seq, pooled = [img], img
+    for k in range(1, cfg.steps + 1):
+        pooled = frozen_avg_pool(pooled, cfg.pool_factor)
+        seq.append(upsample(pooled, cfg.pool_factor ** k, cfg.upsample_mode))
+    return seq
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestAvgPool:
     def test_2x2_mean(self):
         img = np.array([[[1, 3], [5, 7]]], dtype=np.float32)
@@ -64,6 +87,21 @@ class TestAvgPool:
         img = rand_img((3, 8, 12), seed)
         assert np.allclose(avg_pool(img, 2), pool_oracle(img, 2), atol=1e-6)
         assert np.allclose(avg_pool(img, 4), pool_oracle(img, 4), atol=1e-6)
+
+    # output widths 1-16, each with a square, a 1-high and a 17-high
+    # output, so every width meets heights that differ from it, and the
+    # 1-wide outputs have enough windows that the other add order would
+    # show
+    @pytest.mark.parametrize("batch", [None, 1, 8], ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                             ids=["f32", "f64"])
+    @pytest.mark.parametrize("out_w", range(1, 17))
+    def test_factor_2_matches_frozen_mean(self, out_w, dtype, batch):
+        lead = () if batch is None else (batch,)
+        for out_h in sorted({1, out_w, 17}):
+            img = rand_img((*lead, 3, 2 * out_h, 2 * out_w),
+                           out_w * 100 + out_h).astype(dtype)
+            assert_same_bits(avg_pool(img, 2), frozen_avg_pool(img, 2))
 
     def test_indivisible_height_named(self):
         with pytest.raises(ValueError, match="height 6"):
@@ -203,6 +241,17 @@ class TestErosionSequence:
                                  strict=True):
                 assert got[i].dtype == want.dtype
                 assert got[i].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("batch", [None, 1, 8], ids=str)
+    @pytest.mark.parametrize("steps", range(1, 6))
+    @pytest.mark.parametrize("mode", ["nearest", "bilinear"])
+    def test_matches_frozen_mean_sequence(self, mode, steps, batch):
+        lead = () if batch is None else (batch,)
+        img = rand_img((*lead, 3, 32, 32), steps)
+        cfg = ErosionConfig(steps, upsample_mode=mode)
+        for got, want in zip(erosion_sequence(img, cfg),
+                             frozen_erosion_sequence(img, cfg), strict=True):
+            assert_same_bits(got, want)
 
     def test_all_dims_preserved(self):
         img = rand_img((3, 16, 16), 9)
