@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import attacks, data, federated, files, metrics, nn
+from . import attacks, data, fanout, federated, files, metrics, nn
 from .tensors import ErosionConfig
 
 EXIT_OK = 0
@@ -294,10 +294,6 @@ def _open_audit(cfg, checkpoint):
     return model, samples
 
 
-# report.json's timing: empty, or these numbers from measure_overhead
-_TIMING_KEYS = ("single_forward_ms", "resmia_probe_ms", "ratio")
-
-
 def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
     """Median ms/sample for one forward pass vs the full erosion probe.
 
@@ -318,7 +314,7 @@ def measure_overhead(model, samples, ero_cfg, n_samples=100, warmup=10):
             single.append((t1 - t0) * 1e3)
             probe.append((t2 - t1) * 1e3)
     single, probe = statistics.median(single), statistics.median(probe)
-    return dict(zip(_TIMING_KEYS, (single, probe, probe / single)))
+    return dict(zip(metrics.TIMING_KEYS, (single, probe, probe / single)))
 
 
 def cmd_attack(cfg, checkpoint):
@@ -399,19 +395,13 @@ def cmd_report(out_dir):
                 raise ValueError(f"{path} has {key} {got}, "
                                  f"{scores_path} has {key} {want}")
 
-    timing = report.timing
-    if timing and (sorted(timing) != sorted(_TIMING_KEYS) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in timing.values())):
-        raise ValueError(f"{report_path} has timing {timing!r}, not {{}} "
-                         f"or the numbers {', '.join(_TIMING_KEYS)}")
     queries = {r.queries_resmia for r in records}
     if len(queries) != 1:  # none in a scores.csv without data rows
         raise ValueError(f"{scores_path} has queries_resmia values "
                          f"{sorted(queries)}, not one value")
     try:
         rebuilt, curves = metrics.report_and_curves(
-            records, queries.pop() - 1, timing, report.metadata)
+            records, queries.pop() - 1, report.timing, report.metadata)
     except metrics.DegenerateScoresError as exc:
         raise ValueError(f"{scores_path}: {exc}") from exc
     # the summary shows the rebuilt values, so the file must hold them
@@ -493,7 +483,7 @@ def build_parser():
 
     train = common(sub.add_parser(
         "train", help="run federated training, write checkpoint and log"))
-    train.add_argument("--workers", type=int, default=nn.fan_out_width(),
+    train.add_argument("--workers", type=int, default=fanout.fan_out_width(),
                        help="client training workers: this process and "
                             "N-1 forked ones (numerics are identical for "
                             "any value; default: the usable cores, 1 "

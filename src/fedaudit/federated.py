@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import fanout, nn
 
 
 @dataclass(frozen=True)
@@ -111,20 +111,13 @@ class DivergedError(ArithmeticError):
     """Training produced a non-finite parameter or mean client loss."""
 
 
-def _fit_client(shards, arch, cfg, job):
-    """local_train for one fan-out job (round, global params, client id)."""
-    rnd, params, cid = job
-    return local_train(params, arch, shards[cid], cfg, round_idx=rnd,
-                       client_id=cid)
-
-
 def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
                            workers=1):
     """Full FedAvg loop; returns (global params, per-round log rows).
 
     Log rows: dicts with round, train_acc, test_acc, mean_client_loss.
     Client training fans out to worker processes when workers > 1 (see
-    nn.fan_out), the same ones every round, each on one BLAS thread;
+    fanout.fan_out), the same ones every round, each on one BLAS thread;
     numerics are identical for any worker count because clients are
     independent.  Each round's fan-out also carries the accuracy pass of
     the previous round's global params, on the calling thread; the final
@@ -148,9 +141,14 @@ def run_federated_training(dataset, arch, cfg: FedConfig, test_set=None,
             "mean_client_loss": loss,
         })
 
+    def fit(job):
+        """local_train for one job (round, global params, client id)."""
+        rnd, global_params, cid = job
+        return local_train(global_params, arch, shards[cid], cfg,
+                           round_idx=rnd, client_id=cid)
+
     measure = None
-    fit = functools.partial(_fit_client, shards, arch, cfg)
-    with nn.fan_out(workers, fit) as map_clients:
+    with fanout.fan_out(workers, fit) as map_clients:
         for rnd in range(cfg.rounds):
             results = map_clients([(rnd, params, cid)
                                    for cid in range(len(shards))],

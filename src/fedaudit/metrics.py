@@ -22,6 +22,8 @@ import numpy as np
 from . import files
 
 REPORT_SCHEMA_VERSION = 1
+# report.json's timing: empty, or these numbers from cli.measure_overhead
+TIMING_KEYS = ("single_forward_ms", "resmia_probe_ms", "ratio")
 
 
 class DegenerateScoresError(ValueError):
@@ -180,9 +182,9 @@ class MetricsReport:
     @classmethod
     def from_json(cls, text: str):
         """Inverse of to_json; a ValueError's text follows the file name.
-        Refuses a missing key, a mapping field that is not a JSON object
-        and a per_client_auc key that is not a client id, naming the
-        key."""
+        Refuses a missing key, a mapping field that is not a JSON object,
+        a per_client_auc key that is not a client id and a timing that
+        is neither empty nor the TIMING_KEYS numbers, naming the key."""
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("is not a JSON object")
@@ -202,11 +204,16 @@ class MetricsReport:
                               in payload["per_client_auc"].items()}
             except ValueError as exc:
                 raise ValueError(f"has per_client_auc {exc}") from exc
+            timing = payload["timing"]
+            if timing and (sorted(timing) != sorted(TIMING_KEYS) or not all(
+                    type(v) in (int, float) for v in timing.values())):
+                raise ValueError(f"has timing {timing!r}, not {{}} or the "
+                                 f"numbers {', '.join(TIMING_KEYS)}")
             return cls(attacks=payload["attacks"],
                        per_client=per_client,
                        client_auc_std=payload["client_auc_std"],
                        query_counts=payload["query_counts"],
-                       timing=payload["timing"],
+                       timing=timing,
                        metadata=payload["metadata"])
         except KeyError as exc:
             raise ValueError(f"has no key {exc}") from exc

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedaudit import cli, data, metrics, nn
+from fedaudit import cli, data, fanout, metrics, nn
 
 from test_data import write_cifar_batch
 
@@ -229,7 +229,7 @@ class TestDeterminism:
         assert outs["default"] == outs["one"]
 
     def test_train_workers_default_to_fan_out_width(self, monkeypatch):
-        monkeypatch.setattr(nn, "fan_out_width", lambda: 3)
+        monkeypatch.setattr(fanout, "fan_out_width", lambda: 3)
         assert cli.build_parser().parse_args(["train"]).workers == 3
 
     def test_seed_override_changes_scores(self, tmp_path):

@@ -451,6 +451,19 @@ class TestReport:
         assert str(info.value) == (f"has {key} of type list, "
                                    f"not a JSON object")
 
+    @pytest.mark.parametrize("timing", [
+        {"ratio": 6.0},
+        {"single_forward_ms": 1.0, "resmia_probe_ms": 6.0, "ratio": True},
+    ], ids=["key_missing", "bool_value"])
+    def test_from_json_refuses_a_timing_of_other_numbers(self, timing):
+        payload = self.payload()
+        payload["timing"] = timing
+        with pytest.raises(ValueError) as info:
+            MetricsReport.from_json(json.dumps(payload))
+        assert str(info.value) == (
+            f"has timing {timing!r}, not {{}} or the numbers "
+            f"single_forward_ms, resmia_probe_ms, ratio")
+
     def test_from_json_names_a_client_id_that_is_not_an_int(self):
         payload = self.payload()
         payload["per_client_auc"]["first"] = 0.5

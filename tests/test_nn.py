@@ -291,6 +291,16 @@ class TestQueryFacade:
             model.query(img)
         assert model.query_count == 10
 
+    def test_refused_query_is_not_counted(self):
+        arch = nn.default_architecture()
+        model = nn.Model(arch=arch, params=nn.init_params(arch, 0))
+        with pytest.raises(nn.ShapeMismatchError):
+            model.query(np.zeros((3, 16, 16), dtype=np.float32))
+        # one unbatched image: its channel axis is not a stack of 3
+        with pytest.raises(nn.ShapeMismatchError):
+            model.query_batch(np.zeros((3, 32, 32), dtype=np.float32))
+        assert model.query_count == 0
+
     def test_counter_is_not_a_constructor_argument(self):
         arch = tiny_arch()
         with pytest.raises(TypeError, match="_query_count"):
