@@ -31,6 +31,11 @@ SCORES_CSV_COLUMNS = ("sample_id", "client_id", "is_member", "score_resmia",
                       "score_loss", "score_entropy", "queries_resmia")
 
 
+# is_member as write_scores_csv writes it: any other text, such as "2"
+# or " 1", is refused rather than read as a member
+_IS_MEMBER = {"0": False, "1": True}
+
+
 class ScoresCsvError(ValueError):
     """A scores CSV that write_scores_csv could not have written."""
 
@@ -201,8 +206,9 @@ def read_scores_csv(path):
     """Inverse of write_scores_csv; returns (records, metadata).
 
     ScoresCsvError names the path and the first data row that does not
-    parse, including one with a field more or less than the header; a
-    header other than SCORES_CSV_COLUMNS fails at row 1.
+    parse, including one with a field more or less than the header or an
+    is_member other than 0 or 1; a header other than SCORES_CSV_COLUMNS
+    fails at row 1.
     """
     records = []
     rows = read_csv(path, SCORES_CSV_COLUMNS)
@@ -212,13 +218,17 @@ def read_scores_csv(path):
             # positional: a third faster than keywords on 20 000 rows
             records.append(AttackRecord(
                 int(sid), cid if cid == "nonmember" else int(cid),
-                bool(int(member)),
+                _IS_MEMBER[member],
                 {"resmia": float(resmia), "loss": float(loss),
                  "entropy": float(entropy)},
                 int(queries)))
     except (ValueError, csv.Error) as exc:
         raise ScoresCsvError(f"{path}: data row {len(records) + 1} "
                              f"does not parse: {exc!r}") from exc
+    except KeyError as exc:  # only the _IS_MEMBER lookup takes a key
+        raise ScoresCsvError(f"{path}: data row {len(records) + 1} has "
+                             f"is_member {exc.args[0]!r}, not 0 or 1"
+                             ) from exc
     finally:
         rows.close()
     return records, metadata

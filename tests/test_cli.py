@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedaudit import cli, data, fanout, metrics, nn
+from fedaudit import cli, data, fanout, federated, metrics, nn
 
 from test_data import write_cifar_batch
 
@@ -460,7 +460,22 @@ class TestOverridesAndErrors:
         assert rc == 1
         assert "error: round 1 diverged: mean client loss nan" in \
             capsys.readouterr().err
-        assert not (out / "model.ckpt").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("module, name", [
+        (cli, "cmd_train"), (federated, "run_federated_training")])
+    def test_interrupted_training_exits_130_without_out_dir(
+            self, tmp_path, capsys, monkeypatch, module, name):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(module, name, interrupt)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(["train", "--config", write_config(tmp_path),
+                         "--out", str(out)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not out.exists()
 
     def test_missing_checkpoint_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

@@ -615,7 +615,69 @@ class TestCsvFormat:
         assert list(tmp_path.iterdir()) == [path]
 
 
+def reference_write_roc_csv(path, curves_by_attack, metadata=None):
+    """write_roc_csv as it was, frozen: every cell of every curve formatted
+    on its own, row by row."""
+    write_csv(path, ["attack", "fpr", "tpr"],
+              ((name, fpr, tpr) for name in sorted(curves_by_attack)
+               for fpr, tpr in zip(*curves_by_attack[name].T.tolist())),
+              metadata)
+
+
+def large_curves(seed):
+    """Curves of 20 000 distinct seeded scores: 5 clients x 2 000 members
+    and 10 000 non-members, the size of a CIFAR-10 test-split audit."""
+    rng = np.random.default_rng(seed)
+    member = np.arange(20_000) < 10_000
+    z = rng.standard_normal((3, len(member))) + np.outer([0.8, 0.6, 0.5],
+                                                         member)
+    columns = {"resmia": 0.05 * z[0],
+               "loss": 1.0 / (1.0 + np.exp(-1.5 - z[1])),
+               "entropy": -np.log(10.0) / (1.0 + np.exp(1.0 + z[2]))}
+    return {name: roc_curve(zip(vals.tolist(), member.tolist()))
+            for name, vals in columns.items()}
+
+
+def uneven_curves(seed):
+    """Curves of other lengths and class sizes, so the attacks share
+    only some of their rates."""
+    rng = np.random.default_rng(seed)
+    return {name: roc_curve(random_scores(rng, n_pos, n_neg, shift))
+            for name, n_pos, n_neg, shift in [("resmia", 7, 13, 0.3),
+                                              ("loss", 300, 50, 0.1),
+                                              ("entropy", 1000, 999, 0.0)]}
+
+
+def odd_curves():
+    """Curves holding -0.0 beside 0.0 and NaNs of other payloads."""
+    nan = float("nan")
+    payload_nan = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                           np.uint64).view(np.float64)
+    return {"resmia": np.array([[-0.0, 0.0], [0.0, -0.0], [nan, 0.5],
+                                [payload_nan[0], payload_nan[1]],
+                                [1.0, 1.0]]),
+            "loss": np.array([[0.0, 0.0], [-0.0, nan], [1e-05, 5e-324],
+                              [1.0, 1.0]])}
+
+
 class TestRocCsv:
+    @pytest.mark.parametrize("curves", [
+        pytest.param(lambda: large_curves(8), id="large"),
+        pytest.param(lambda: report_and_curves(tied_records(3), 3)[1],
+                     id="ties"),
+        pytest.param(lambda: uneven_curves(5), id="uneven"),
+        pytest.param(odd_curves, id="zeros_and_nans"),
+        pytest.param(dict, id="no_curves"),
+    ])
+    def test_bytes_equal_the_per_row_reference(self, tmp_path, curves):
+        curves = curves()
+        meta = {"seed": 3, "config_hash": "abc"}
+        write_roc_csv(tmp_path / "new.csv", curves, meta)
+        reference_write_roc_csv(tmp_path / "ref.csv", curves, meta)
+        new = (tmp_path / "new.csv").read_bytes()
+        assert new == (tmp_path / "ref.csv").read_bytes()
+        assert new.count(b"\n") == 3 + sum(len(c) for c in curves.values())
+
     def test_writes_all_attacks(self, tmp_path):
         curve = roc_curve(HAND_SCORES)
         path = tmp_path / "roc.csv"
