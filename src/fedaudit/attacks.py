@@ -14,11 +14,13 @@ whether its K+1 queries went one at a time or in a batch.
 """
 
 import csv
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import read_csv, write_csv
+from .metrics import ScoreColumns, read_csv, write_csv
 from .tensors import ErosionConfig, erosion_sequence
 
 ATTACK_NAMES = ("resmia", "loss", "entropy")
@@ -34,6 +36,10 @@ SCORES_CSV_COLUMNS = ("sample_id", "client_id", "is_member", "score_resmia",
 # is_member as write_scores_csv writes it: any other text, such as "2"
 # or " 1", is refused rather than read as a member
 _IS_MEMBER = {"0": False, "1": True}
+
+# data rows read_scores_csv parses at a time, so no more than this many
+# rows of strings are held at once
+_READ_BLOCK = 2048
 
 
 class ScoresCsvError(ValueError):
@@ -202,33 +208,107 @@ def write_scores_csv(path, records, metadata=None):
               metadata)
 
 
-def read_scores_csv(path):
-    """Inverse of write_scores_csv; returns (records, metadata).
+class ScoresTable(Sequence):
+    """read_scores_csv's data rows, held as columns.
 
-    ScoresCsvError names the path and the first data row that does not
-    parse, including one with a field more or less than the header or an
-    is_member other than 0 or 1; a header other than SCORES_CSV_COLUMNS
-    fails at row 1.
+    columns is the metrics.ScoreColumns that report sweeps; sample_id
+    and queries_resmia hold one Python int per row.  Indexing or
+    iterating builds a row's AttackRecord when it is asked for.
     """
-    records = []
+
+    def __init__(self, sample_id, columns, queries_resmia):
+        self.sample_id = sample_id
+        self.columns = columns
+        self.queries_resmia = queries_resmia
+
+    def __len__(self):
+        return len(self.sample_id)
+
+    def __getitem__(self, i):
+        sid, code = self.sample_id[i], int(self.columns.client[i])
+        return AttackRecord(
+            sid, self.columns.client_ids[code] if code >= 0 else "nonmember",
+            code >= 0,
+            {name: float(self.columns.scores[name][i])
+             for name in ATTACK_NAMES},
+            self.queries_resmia[i])
+
+
+def read_scores_csv(path):
+    """Inverse of write_scores_csv; returns (ScoresTable, metadata).
+
+    The data rows are parsed _READ_BLOCK at a time, one column at a
+    time: every score with float, every sample_id with int, and each
+    distinct client_id and queries_resmia text once.  ScoresCsvError
+    names the path and the first data row that does not parse, including
+    one with a field more or less than the header, an is_member other
+    than 0 or 1, a member whose client_id is not an int or a non-member
+    whose client_id is not nonmember; a header other than
+    SCORES_CSV_COLUMNS fails at row 1.
+    """
+    sample_id, queries, scores = [], [], {name: [] for name in ATTACK_NAMES}
+    # client_id text -> code: -1 for non-members, then 0, 1, ... for the
+    # member texts in the order they are first seen
+    codes, client_code = [], {"nonmember": -1}
+    queries_int = {}  # queries_resmia text -> int
     rows = read_csv(path, SCORES_CSV_COLUMNS)
     try:
         metadata = next(rows)
-        for sid, cid, member, resmia, loss, entropy, queries in rows:
-            # positional: a third faster than keywords on 20 000 rows
-            records.append(AttackRecord(
-                int(sid), cid if cid == "nonmember" else int(cid),
-                _IS_MEMBER[member],
-                {"resmia": float(resmia), "loss": float(loss),
-                 "entropy": float(entropy)},
-                int(queries)))
-    except (ValueError, csv.Error) as exc:
-        raise ScoresCsvError(f"{path}: data row {len(records) + 1} "
-                             f"does not parse: {exc!r}") from exc
-    except KeyError as exc:  # only the _IS_MEMBER lookup takes a key
-        raise ScoresCsvError(f"{path}: data row {len(records) + 1} has "
-                             f"is_member {exc.args[0]!r}, not 0 or 1"
-                             ) from exc
+        while block := list(itertools.islice(rows, _READ_BLOCK)):
+            if set(map(len, block)) != {len(SCORES_CSV_COLUMNS)}:
+                raise ValueError("a row of another width")
+            sid, cid, member, resmia, loss, entropy, queries_text = zip(*block)
+            for is_member, text in set(zip(member, cid)):
+                if _IS_MEMBER[is_member] != (text != "nonmember"):
+                    raise ValueError("client_id does not fit is_member")
+                if text not in client_code:
+                    int(text)
+                    client_code[text] = len(client_code) - 1
+            codes.append(np.fromiter(map(client_code.__getitem__, cid),
+                                     np.intp, len(cid)))
+            sample_id += map(int, sid)
+            for text in set(queries_text) - queries_int.keys():
+                queries_int[text] = int(text)
+            queries += map(queries_int.__getitem__, queries_text)
+            for name, cells in zip(ATTACK_NAMES, (resmia, loss, entropy)):
+                scores[name].append(np.fromiter(map(float, cells),
+                                                np.float64, len(cells)))
+    except (ValueError, KeyError, csv.Error) as exc:
+        row, fault = _first_bad_row(path)
+        raise ScoresCsvError(f"{path}: data row {row} {fault}") from exc
     finally:
         rows.close()
-    return records, metadata
+    columns = ScoreColumns.ranked(
+        np.concatenate([np.empty(0, np.intp)] + codes),
+        [int(text) for text in client_code if text != "nonmember"],
+        {name: np.concatenate([np.empty(0)] + pieces)
+         for name, pieces in scores.items()})
+    return ScoresTable(sample_id, columns, queries), metadata
+
+
+def _first_bad_row(path):
+    """(row, fault) of the first data row read_scores_csv refuses, found
+    by walking the rows one at a time: its failure path."""
+    rows = read_csv(path, SCORES_CSV_COLUMNS)
+    row = 1
+    try:
+        next(rows)
+        for values in rows:
+            sid, cid, member, resmia, loss, entropy, queries = values
+            int(sid)
+            if _IS_MEMBER[member]:
+                if cid == "nonmember":
+                    return row, "is a member with client_id 'nonmember'"
+                int(cid)
+            elif cid != "nonmember":
+                return row, (f"is a non-member with client_id {cid!r}, "
+                             f"not nonmember")
+            float(resmia), float(loss), float(entropy), int(queries)
+            row += 1
+    except (ValueError, csv.Error) as exc:
+        return row, f"does not parse: {exc!r}"
+    except KeyError as exc:  # only the _IS_MEMBER lookup takes a key
+        return row, f"has is_member {exc.args[0]!r}, not 0 or 1"
+    finally:
+        rows.close()
+    raise AssertionError(f"{path}: no data row is refused")

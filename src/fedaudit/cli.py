@@ -370,7 +370,7 @@ def cmd_report(out_dir):
     for path in (scores_path, report_path):
         if not os.path.exists(path):
             raise FileNotFoundError(f"missing attack output: {path}")
-    records, meta = attacks.read_scores_csv(scores_path)
+    table, meta = attacks.read_scores_csv(scores_path)
     try:
         with open(report_path) as fh:
             report = metrics.MetricsReport.from_json(fh.read())
@@ -397,13 +397,13 @@ def cmd_report(out_dir):
                 raise ValueError(f"{path} has {key} {got}, "
                                  f"{scores_path} has {key} {want}")
 
-    queries = {r.queries_resmia for r in records}
+    queries = sorted(set(table.queries_resmia))
     if len(queries) != 1:  # none in a scores.csv without data rows
         raise ValueError(f"{scores_path} has queries_resmia values "
-                         f"{sorted(queries)}, not one value")
+                         f"{queries}, not one value")
     try:
         rebuilt, curves = metrics.report_and_curves(
-            records, queries.pop() - 1, report.timing, report.metadata)
+            table.columns, queries[0] - 1, report.timing, report.metadata)
     except metrics.DegenerateScoresError as exc:
         raise ValueError(f"{scores_path}: {exc}") from exc
     # the summary shows the rebuilt values, so the file must hold them

@@ -4,12 +4,14 @@ The ROC construction sweeps all distinct score thresholds with tied
 scores grouped (samples sharing a score enter the positive set
 together), so constant scores yield exactly the diagonal.
 
-report_and_curves sweeps each attack once: one sort, with the counts cut
-at the end of each tie group, gives the curve, AUC, best-threshold
-accuracy and FPR at 80% TPR, and each client's resmia subset is taken
-from the resmia sort order.  Counts at group ends do not depend on the
-order within a tie, so this gives the bits of sorting each pair list
-afresh.
+report_and_curves sweeps each attack of a ScoreColumns once: one sort,
+with the counts cut at the end of each tie group, gives the curve, AUC,
+best-threshold accuracy and FPR at 80% TPR, and each client's resmia
+subset is taken from the resmia sort order.  Counts at group ends do
+not depend on the order within a tie, so this gives the bits of sorting
+each pair list afresh.  Scored records become ScoreColumns in
+score_columns; attacks.read_scores_csv parses a scores.csv into them
+without records.
 """
 
 import csv
@@ -38,13 +40,66 @@ def _pairs(scores):
     return pairs["score"], pairs["member"]
 
 
-def _columns(records, names):
-    """The member mask of records and their scores of each named attack,
-    as arrays."""
+@dataclass(eq=False)
+class ScoreColumns:
+    """A scored eval set as the arrays report_and_curves sweeps.
+
+    client holds one code per record: the index of a member's client id
+    in client_ids, or -1 for a non-member.  scores maps each attack name
+    to its float64 score per record.
+    """
+
+    client: np.ndarray        # intp
+    client_ids: list          # the members' distinct client ids, sorted
+    scores: dict              # attack name -> float64 array
+
+    @property
+    def member(self):
+        return self.client >= 0
+
+    @classmethod
+    def ranked(cls, codes, ids, scores):
+        """ScoreColumns from codes into ids, a list that may hold an id
+        more than once; the codes of -1 (non-members) stay -1."""
+        client_ids = sorted(set(ids))
+        rank = {cid: k for k, cid in enumerate(client_ids)}
+        lut = np.array([rank[cid] for cid in ids] + [-1], np.intp)
+        return cls(lut[codes], client_ids, scores)
+
+
+def _client_fault(record):
+    """Why record's client_id does not fit its is_member, or None: a
+    member's must be an int and a non-member's "nonmember"."""
+    cid = record.client_id
+    if record.is_member:
+        if not isinstance(cid, int):
+            return f"is a member with client_id {cid!r}, not an int"
+    elif cid != "nonmember":
+        return f"is a non-member with client_id {cid!r}, not 'nonmember'"
+    return None
+
+
+def score_columns(records) -> ScoreColumns:
+    """The ScoreColumns of scored records (sample_id, client_id,
+    is_member and a scores dict each); the one place records become
+    arrays.  ValueError names the first record whose client_id does not
+    fit its is_member."""
     n = len(records)
-    member = np.fromiter((r.is_member for r in records), bool, n)
-    return member, {name: np.fromiter((r.scores[name] for r in records),
-                                      np.float64, n) for name in names}
+    ids = {}
+    # -2 marks a non-member whose client_id is not "nonmember"
+    codes = np.fromiter((ids.setdefault(r.client_id, len(ids))
+                         if r.is_member else
+                         -1 if r.client_id == "nonmember" else -2
+                         for r in records), np.intp, n)
+    if (codes == -2).any() or not all(isinstance(cid, int) for cid in ids):
+        i, fault = next((i, fault) for i, r in enumerate(records)
+                        if (fault := _client_fault(r)))
+        raise ValueError(f"record {i} (sample_id {records[i].sample_id}) "
+                         f"{fault}")
+    names = sorted(records[0].scores) if n else []
+    return ScoreColumns.ranked(codes, list(ids), {
+        name: np.fromiter((r.scores[name] for r in records), np.float64, n)
+        for name in names})
 
 
 def _cut(vals, member):
@@ -89,17 +144,14 @@ def _best_accuracy(thresholds, tps, fps):
     return float(acc[best]), float(thresholds[best])
 
 
-def _client_aucs(records, vals, order):
+def _client_aucs(columns, order):
     """Resmia AUC of each client's members against all non-members; each
     client's subset is cut out of the resmia sweep's order."""
-    ids = {}
-    code = np.fromiter((ids.setdefault(r.client_id, len(ids))
-                        if r.is_member else -1 for r in records),
-                       np.intp, len(records))[order]
-    vals, non_member = vals[order], code < 0
+    code = columns.client[order]
+    vals, non_member = columns.scores["resmia"][order], code < 0
     aucs = {}
-    for cid in sorted(ids):
-        keep = non_member | (code == ids[cid])
+    for k, cid in enumerate(columns.client_ids):
+        keep = non_member | (code == k)
         _, tps, fps = _cut(vals[keep], ~non_member[keep])
         aucs[cid] = auc(_curve(tps, fps))
     return aucs
@@ -146,13 +198,14 @@ def accuracy_at_best_threshold(scores):
 
 def per_client_auc(records):
     """Resmia AUC of each client's members against all non-members."""
-    member, columns = _columns(records, ["resmia"])
+    columns = score_columns(records)
+    member = columns.member
     if member.all():
         raise DegenerateScoresError("no non-member records")
     if not member.any():
         raise DegenerateScoresError("no member records")
-    vals = columns["resmia"]
-    return _client_aucs(records, vals, _tie_groups(vals, member)[0])
+    order = _tie_groups(columns.scores["resmia"], member)[0]
+    return _client_aucs(columns, order)
 
 
 @dataclass
@@ -222,16 +275,19 @@ class MetricsReport:
 def build_report(records, erosion_steps, timing=None,
                  metadata=None) -> MetricsReport:
     """Assemble the full metrics report from scored attack records."""
-    return report_and_curves(records, erosion_steps, timing, metadata)[0]
+    return report_and_curves(score_columns(records), erosion_steps, timing,
+                             metadata)[0]
 
 
-def report_and_curves(records, erosion_steps, timing=None, metadata=None):
-    """build_report's report, and each attack's (M, 2) ROC curve from the
-    sweep that gave its row: (MetricsReport, {name: curve})."""
-    member, columns = _columns(records, sorted(records[0].scores))
+def report_and_curves(columns, erosion_steps, timing=None, metadata=None):
+    """build_report's report of the records held in columns (a
+    ScoreColumns), and each attack's (M, 2) ROC curve from the sweep
+    that gave its row: (MetricsReport, {name: curve})."""
+    member = columns.member
     attacks, orders, curves = {}, {}, {}
-    for name, vals in columns.items():
-        orders[name], thresholds, tps, fps = _tie_groups(vals, member, name)
+    for name in sorted(columns.scores):
+        orders[name], thresholds, tps, fps = _tie_groups(
+            columns.scores[name], member, name)
         curves[name] = curve = _curve(tps, fps)
         acc, thr = _best_accuracy(thresholds, tps, fps)
         attacks[name] = {
@@ -240,7 +296,7 @@ def report_and_curves(records, erosion_steps, timing=None, metadata=None):
             "fpr_at_tpr80": fpr_at_tpr(curve, 0.8),
             "threshold": thr,
         }
-    clients = _client_aucs(records, columns["resmia"], orders["resmia"])
+    clients = _client_aucs(columns, orders["resmia"])
     return MetricsReport(
         attacks=attacks,
         per_client=clients,
@@ -346,7 +402,7 @@ def read_csv(path, header):
         metadata = {}
         line = fh.readline()
         while line.startswith("# "):
-            key, _, value = line[2:].rstrip("\n").partition("=")
+            key, _, value = line[2:].rstrip("\r\n").partition("=")
             metadata[key] = value
             line = fh.readline()
         yield metadata

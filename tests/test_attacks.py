@@ -1,9 +1,10 @@
+import csv
 import re
 
 import numpy as np
 import pytest
 
-from fedaudit import attacks, nn
+from fedaudit import attacks, metrics, nn
 from fedaudit.attacks import (AttackRecord, ConfidenceTrace, EvalSample,
                               confidence_trace, entropy_attack_score,
                               evaluate_attacks, loss_attack_score,
@@ -374,3 +375,215 @@ class TestScoresCsv:
                 read_scores_csv(path)
             except attacks.ScoresCsvError:
                 pass
+
+
+def reference_read_scores_csv(path):
+    """read_scores_csv as it was before it parsed columns, frozen: one
+    AttackRecord per row, every cell parsed on its own."""
+    records = []
+    rows = metrics.read_csv(path, attacks.SCORES_CSV_COLUMNS)
+    try:
+        metadata = next(rows)
+        for sid, cid, member, resmia, loss, entropy, queries in rows:
+            records.append(AttackRecord(
+                int(sid), cid if cid == "nonmember" else int(cid),
+                {"0": False, "1": True}[member],
+                {"resmia": float(resmia), "loss": float(loss),
+                 "entropy": float(entropy)},
+                int(queries)))
+    except (ValueError, csv.Error) as exc:
+        raise attacks.ScoresCsvError(f"{path}: data row {len(records) + 1} "
+                                     f"does not parse: {exc!r}") from exc
+    except KeyError as exc:
+        raise attacks.ScoresCsvError(f"{path}: data row {len(records) + 1} "
+                                     f"has is_member {exc.args[0]!r}, not 0 "
+                                     f"or 1") from exc
+    finally:
+        rows.close()
+    return records, metadata
+
+
+def large_records(seed, nonmembers=10_000, per_client=2_000, clients=5):
+    """Seeded records shaped like a full CIFAR-10 test-split audit, the
+    members first, every score distinct."""
+    rng = np.random.default_rng(seed)
+    n_mem = clients * per_client
+    values = rng.standard_normal((3, n_mem + nonmembers))
+    return [AttackRecord(i if i < n_mem else 1_000_000 + i,
+                         i // per_client if i < n_mem else "nonmember",
+                         i < n_mem,
+                         {"resmia": float(values[0, i]),
+                          "loss": float(values[1, i]),
+                          "entropy": float(values[2, i])}, 4)
+            for i in range(n_mem + nonmembers)]
+
+
+def tied_scores_records(seed, n=300):
+    """Shuffled records whose scores take a few values, -0.0 and 0.0
+    among them, with client ids out of order."""
+    rng = np.random.default_rng(seed)
+    levels = np.array([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0])
+    values = levels[rng.integers(0, len(levels), (3, n))]
+    cids = rng.choice([7, 2, 9, 0], n // 2)
+    records = [AttackRecord(i, int(cids[i]) if i < n // 2 else "nonmember",
+                            i < n // 2,
+                            {name: float(v[i]) for name, v in
+                             zip(attacks.ATTACK_NAMES, values)}, 4)
+               for i in range(n)]
+    return [records[i] for i in rng.permutation(n)]
+
+
+# scores that repr writes in exponent form, signed zeros and ties
+ODD_SCORES = [-0.0, 0.0, 1e-05, 5e-324, -2.5e-10, 1e+300, 0.5, 0.5]
+
+
+def odd_records(n):
+    """n records whose scores are ODD_SCORES in turn; the first one or
+    two are members of clients 7 and 2, and at least one is not if n > 1.
+    """
+    members = 1 if n == 1 else min(2, n - 1)
+    return [AttackRecord(3 * i, (7, 2)[i] if i < members else "nonmember",
+                         i < members,
+                         {name: ODD_SCORES[(i + k) % len(ODD_SCORES)]
+                          for k, name in enumerate(attacks.ATTACK_NAMES)},
+                         6)
+            for i in range(n)]
+
+
+def fields(records):
+    """Each record's fields by repr, so -0.0 differs from 0.0, True
+    from 1 and a numpy scalar from a Python number."""
+    return [repr((r.sample_id, r.client_id, r.is_member, r.scores,
+                  r.queries_resmia)) for r in records]
+
+
+def float_bits(value):
+    """value with every float replaced by its hex form, recursively."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {repr(k): float_bits(v) for k, v in value.items()}
+    return value
+
+
+class TestColumnarRead:
+    META = {"seed": 3, "config_hash": "abc"}
+
+    def both(self, tmp_path, records):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, records, self.META)
+        return read_scores_csv(path), reference_read_scores_csv(path)
+
+    @pytest.mark.parametrize("records", [
+        pytest.param(lambda: large_records(0), id="large_0"),
+        pytest.param(lambda: large_records(1), id="large_1"),
+        pytest.param(lambda: tied_scores_records(4), id="ties"),
+        pytest.param(lambda: odd_records(len(ODD_SCORES)), id="odd_floats"),
+        pytest.param(lambda: odd_records(1), id="one_row"),
+        pytest.param(lambda: odd_records(2), id="two_rows"),
+    ])
+    def test_records_equal_the_per_row_reference(self, tmp_path, records):
+        records = records()
+        (table, meta), (want, want_meta) = self.both(tmp_path, records)
+        assert meta == want_meta == {"seed": "3", "config_hash": "abc"}
+        assert len(table) == len(want) == len(records)
+        assert fields(table) == fields(want) == fields(records)
+        assert fields([table[-1], table[0]]) == fields([want[-1], want[0]])
+
+    @pytest.mark.parametrize("row", [1, 2500, 5000])
+    @pytest.mark.parametrize("column, cell", [
+        ("sample_id", "x"), ("sample_id", "1.0"), ("client_id", "x"),
+        ("is_member", "2"), ("score_resmia", "abc"), ("score_loss", ""),
+        ("score_entropy", "0.5.1"), ("queries_resmia", "4.0"),
+        ("queries_resmia", "four"),
+    ])
+    def test_a_bad_cell_is_named_at_the_reference_row(self, tmp_path, row,
+                                                      column, cell):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, large_records(2, 2500, 500), self.META)
+        lines = path.read_text().splitlines()
+        cells = lines[row + 2].split(",")
+        cells[attacks.SCORES_CSV_COLUMNS.index(column)] = cell
+        lines[row + 2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(attacks.ScoresCsvError) as want:
+            reference_read_scores_csv(path)
+        with pytest.raises(attacks.ScoresCsvError) as got:
+            read_scores_csv(path)
+        assert f": data row {row} " in str(want.value)
+        if column == "client_id" and row == 5000:  # a non-member's
+            assert str(got.value) == (f"{path}: data row {row} is a "
+                                      f"non-member with client_id 'x', "
+                                      f"not nonmember")
+        else:
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("row", [1, 2049, 5000])
+    @pytest.mark.parametrize("edit", [
+        lambda line: line + ",999", lambda line: line.rsplit(",", 1)[0],
+    ], ids=["extra_field", "missing_field"])
+    def test_a_row_of_another_width_is_named_at_the_reference_row(
+            self, tmp_path, row, edit):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, large_records(2, 2500, 500), self.META)
+        lines = path.read_text().splitlines()
+        lines[row + 2] = edit(lines[row + 2])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(attacks.ScoresCsvError) as want:
+            reference_read_scores_csv(path)
+        with pytest.raises(attacks.ScoresCsvError) as got:
+            read_scores_csv(path)
+        assert str(got.value) == str(want.value)
+        assert f": data row {row} " in str(got.value)
+
+    @pytest.mark.parametrize("is_member, client_id, fault", [
+        ("1", "nonmember", "is a member with client_id 'nonmember'"),
+        ("0", "3", "is a non-member with client_id '3', not nonmember"),
+        ("0", "", "is a non-member with client_id '', not nonmember"),
+        ("1", "", "does not parse: ValueError(\"invalid literal for int() "
+                  "with base 10: ''\")"),
+    ], ids=["member_nonmember", "non_member_int", "non_member_blank",
+            "member_blank"])
+    def test_a_client_id_that_does_not_fit_is_member_is_named(
+            self, tmp_path, is_member, client_id, fault):
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, large_records(3, 40, 10, 4), self.META)
+        lines = path.read_text().splitlines()
+        for row in (30, 45):
+            cells = lines[row + 2].split(",")
+            cells[1:3] = client_id, is_member
+            lines[row + 2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(attacks.ScoresCsvError,
+                           match=f"^{re.escape(f'{path}: data row 30 ')}"
+                                 f"{re.escape(fault)}$"):
+            read_scores_csv(path)
+
+    def test_crlf_preamble_reads_the_written_metadata(self, tmp_path):
+        path = tmp_path / "scores.csv"
+        records = large_records(4, 30, 6)
+        write_scores_csv(path, records, self.META)
+        raw = path.read_bytes().replace(b"\r\n", b"\n")
+        path.write_bytes(raw.replace(b"\n", b"\r\n"))
+        table, meta = read_scores_csv(path)
+        assert meta == {"seed": "3", "config_hash": "abc"}
+        assert fields(table) == fields(records)
+
+    @pytest.mark.parametrize("records", [
+        pytest.param(lambda: large_records(5), id="large"),
+        pytest.param(lambda: tied_scores_records(1), id="ties"),
+        pytest.param(lambda: odd_records(len(ODD_SCORES)), id="odd_floats"),
+    ])
+    def test_columnar_report_equals_build_report_by_bits(self, tmp_path,
+                                                         records):
+        records = records()
+        (table, _), _ = self.both(tmp_path, records)
+        got, curves = metrics.report_and_curves(table.columns, 3)
+        want = metrics.build_report(records, 3)
+        assert float_bits(got.derived()) == float_bits(want.derived())
+        assert all(type(cid) is int for cid in got.per_client)
+        _, want_curves = metrics.report_and_curves(
+            metrics.score_columns(records), 3)
+        assert curves.keys() == want_curves.keys()
+        for name, curve in curves.items():
+            assert curve.tobytes() == want_curves[name].tobytes()

@@ -676,6 +676,38 @@ class TestOverridesAndErrors:
         assert not (out / "roc.csv").exists()
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("row, value, fault", [
+        (2, "nonmember", "is a member with client_id 'nonmember'"),
+        (16, "0", "is a non-member with client_id '0', not nonmember"),
+    ], ids=["member_nonmember", "non_member_int"])
+    def test_report_refuses_a_client_id_that_does_not_fit_is_member(
+            self, tmp_path, capsys, audited_run, row, value, fault):
+        out = tmp_path / "run"
+        shutil.copytree(audited_run, out)
+        scores = out / "scores.csv"
+        lines = scores.read_bytes().decode().splitlines(keepends=True)
+        scores.write_bytes("".join(
+            scores_cell(row, "client_id", value)(lines)).encode())
+        capsys.readouterr()
+        assert cli.main(["report", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: {scores}: data row "
+                                           f"{row} {fault}\n")
+        assert not (out / "roc.csv").exists()
+
+    def test_report_reads_crlf_copies_to_the_same_bytes(self, tmp_path,
+                                                        audited_run):
+        lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+        shutil.copytree(audited_run, lf)
+        shutil.copytree(audited_run, crlf)
+        for name in ("scores.csv", "report.json", "ablation.csv"):
+            path = crlf / name
+            path.write_bytes(path.read_bytes().replace(b"\r\n", b"\n")
+                             .replace(b"\n", b"\r\n"))
+        assert cli.main(["report", "--out", str(lf)]) == 0
+        assert cli.main(["report", "--out", str(crlf)]) == 0
+        for name in ("roc.csv", "summary.txt"):
+            assert (crlf / name).read_bytes() == (lf / name).read_bytes()
+
     def test_report_accepts_an_empty_timing(self, tmp_path, audited_run):
         out = tmp_path / "run"
         shutil.copytree(audited_run, out)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from fedaudit.attacks import AttackRecord, write_scores_csv
 from fedaudit.metrics import (REPORT_SCHEMA_VERSION, DegenerateScoresError,
                               MetricsReport, accuracy_at_best_threshold, auc,
                               build_report, fpr_at_tpr, per_client_auc,
-                              report_and_curves, roc_curve, write_csv,
-                              write_roc_csv)
+                              report_and_curves, roc_curve, score_columns,
+                              write_csv, write_roc_csv)
 
 HAND_SCORES = [(0.9, True), (0.4, True), (0.6, False), (0.1, False)]
 
@@ -352,13 +353,33 @@ class TestSweep:
     @pytest.mark.parametrize("seed", range(3))
     def test_curves_are_the_roc_curves_of_the_report(self, seed):
         records = tied_records(seed)
-        report, curves = report_and_curves(records, 3)
+        report, curves = report_and_curves(score_columns(records), 3)
         assert report == build_report(records, 3)
         assert sorted(curves) == sorted(report.attacks)
         for name, curve in curves.items():
             want = roc_curve((r.scores[name], r.is_member) for r in records)
             assert np.array_equal(curve, want)
             assert auc(curve) == report.attacks[name]["auc"]
+
+    @pytest.mark.parametrize("client_id, is_member, fault", [
+        ("nonmember", True,
+         "is a member with client_id 'nonmember', not an int"),
+        ("0", True, "is a member with client_id '0', not an int"),
+        (3, False, "is a non-member with client_id 3, not 'nonmember'"),
+    ], ids=["member_nonmember", "member_text", "non_member_int"])
+    @pytest.mark.parametrize("call", [
+        lambda records: build_report(records, 3), per_client_auc,
+        score_columns,
+    ], ids=["build_report", "per_client_auc", "score_columns"])
+    def test_a_client_id_that_does_not_fit_is_member_is_named(
+            self, call, client_id, is_member, fault):
+        records = tied_records(0)
+        bad = records[40]
+        bad.client_id, bad.is_member = client_id, is_member
+        with pytest.raises(ValueError, match=(
+                f"^record 40 \\(sample_id {bad.sample_id}\\) "
+                f"{re.escape(fault)}$")):
+            call(records)
 
     @pytest.mark.parametrize("name", ["resmia", "loss", "entropy"])
     def test_non_finite_scores_named_by_attack(self, name):
@@ -663,8 +684,8 @@ def odd_curves():
 class TestRocCsv:
     @pytest.mark.parametrize("curves", [
         pytest.param(lambda: large_curves(8), id="large"),
-        pytest.param(lambda: report_and_curves(tied_records(3), 3)[1],
-                     id="ties"),
+        pytest.param(lambda: report_and_curves(
+            score_columns(tied_records(3)), 3)[1], id="ties"),
         pytest.param(lambda: uneven_curves(5), id="uneven"),
         pytest.param(odd_curves, id="zeros_and_nans"),
         pytest.param(dict, id="no_curves"),
